@@ -36,7 +36,7 @@ from .spaces import (
     bu1_series,
     jacobian_series,
     sym_cover_series,
-    sym_oracle,
+    sym_generating,
     sym_series,
 )
 from .strata import (
@@ -106,7 +106,7 @@ __all__ = [
     "stratum_difference",
     "stratum_space_series",
     "sym_cover_series",
-    "sym_oracle",
+    "sym_generating",
     "sym_series",
     "unstable_sum",
     "unstable_sum_resummed",

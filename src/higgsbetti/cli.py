@@ -61,14 +61,6 @@ def _route(spec: ModuliSpec) -> str:
     return "equivariant" if spec.degree == 0 else "moduli"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _main(argv)
@@ -90,26 +82,31 @@ def _main(argv: Sequence[str] | None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    code = 0
     if args.subcommand == "betti":
         report = BettiReport(spec, _route(spec), moduli_series(spec))
-        _emit(render(report, args.format), args.output)
-        return 0
-
-    if args.subcommand == "verify":
+    elif args.subcommand == "verify":
         checks = tuple(run_checks(spec))
         report = BettiReport(spec, _route(spec), moduli_series(spec), checks=checks)
-        _emit(render(report, args.format), args.output)
-        return 0 if all(c.passed for c in checks) else 2
-
-    rows = [
-        (str(d), stratum_space_series(spec, d)) for d in range(max_stratum(spec) + 1)
-    ]
-    rows.append(("bg", bg_series(spec.surface, spec.determinant, spec.truncation)))
-    report = BettiReport(
-        spec, "stratified", stratum_space_series(spec, 0), strata=tuple(rows)
-    )
-    _emit(render(report, args.format), args.output)
-    return 0
+        code = 0 if all(c.passed for c in checks) else 2
+    else:
+        rows = [
+            (str(d), stratum_space_series(spec, d)) for d in range(max_stratum(spec) + 1)
+        ]
+        rows.append(("bg", bg_series(spec.surface, spec.determinant, spec.truncation)))
+        report = BettiReport(
+            spec, "stratified", stratum_space_series(spec, 0), strata=tuple(rows)
+        )
+    text = render(report, args.format)
+    if args.output is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {args.output}: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .series import TruncSeries
+from .series import TruncSeries, first_non_integer
 from .strata import ModuliSpec
 
 __all__ = ["BettiReport", "CheckResult", "render"]
@@ -44,12 +44,10 @@ class BettiReport:
 
 
 def _int_coeffs(series: TruncSeries) -> list[int]:
-    out = []
-    for k, c in enumerate(series.coeffs):
-        if c.denominator != 1:
-            raise ValueError(f"coefficient of t^{k} is not an integer: {c}")
-        out.append(c.numerator)
-    return out
+    k = first_non_integer(series, nonnegative=False)
+    if k is not None:
+        raise ValueError(f"coefficient of t^{k} is not an integer: {series.coeffs[k]}")
+    return [int(c) for c in series.coeffs]
 
 
 def _coefficient_table(series: TruncSeries, k_header: str = "k") -> str:

@@ -1,15 +1,18 @@
 """Exact arithmetic kernel: polynomials, truncated power series in t, and
 bivariate series in (x, t) used for coefficient extraction.
 
-Every coefficient is a ``fractions.Fraction``; nothing is ever rounded.  A
-:class:`TruncSeries` carries an explicit truncation order N and exactly the
-coefficients of t^0..t^N.  Binary operations align to the smaller of the two
+Every coefficient is exact: a Python ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not, never a ``float``; nothing is
+ever rounded.  Betti series are integral, so the hot paths run on plain
+integers.  A :class:`TruncSeries` carries an explicit truncation order N and
+exactly the coefficients of t^0..t^N.  Binary operations align to the smaller of the two
 orders, so a coefficient is never reported unless it is exactly determined.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -23,6 +26,7 @@ __all__ = [
     "ZeroConstantTermError",
     "binomial",
     "expand_rational",
+    "first_non_integer",
 ]
 
 
@@ -47,12 +51,45 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _fmt(c: Fraction) -> str:
+def _exact(c: Scalar) -> Scalar:
+    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_all(cs: Iterable[Scalar]) -> list[Scalar]:
+    return [c if type(c) is int else _exact(c) for c in cs]
+
+
+def _div(x: Scalar, d: Scalar) -> Scalar:
+    """Exact quotient x / d, an ``int`` whenever it is integral."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        return Fraction(x, d) if r else q
+    return _exact(x / d)
+
+
+def first_non_integer(series: TruncSeries, *, nonnegative: bool) -> int | None:
+    """Smallest k whose t^k coefficient is not an integer or, when
+    ``nonnegative``, is negative; ``None`` if every coefficient passes.
+
+    An integral ``Fraction`` counts as an integer.
+    """
+    for k, c in enumerate(series.coeffs):
+        if c.denominator != 1 or (nonnegative and c < 0):
+            return k
+    return None
+
+
+def _fmt(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 class Poly:
-    """Polynomial in t with exact rational coefficients.
+    """Polynomial in t with exact coefficients (``int`` or ``Fraction``).
 
     Trailing zero coefficients are trimmed on construction; the zero
     polynomial keeps an empty coefficient tuple and its degree is ``None``
@@ -62,10 +99,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = _exact_all(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
     def one(cls) -> Poly:
@@ -83,8 +120,8 @@ class Poly:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+    def constant_term(self) -> Scalar:
+        return self.coeffs[0] if self.coeffs else 0
 
     def as_series(self, order: int) -> TruncSeries:
         """Reinterpret as a truncated series.
@@ -114,7 +151,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             a[i] += c
         return Poly(a)
@@ -122,7 +159,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
-        return self + (-other if isinstance(other, Poly) else -Fraction(other))
+        return self + (-other if isinstance(other, Poly) else -_exact(other))
 
     def __rsub__(self, other: Scalar) -> Poly:
         return (-self) + other
@@ -134,7 +171,7 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -173,17 +210,25 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), order: int | None = None) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = _exact_all(coeffs)
         if order is None:
             order = max(len(cs) - 1, 0)
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         if len(cs) < order + 1:
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+            cs.extend([0] * (order + 1 - len(cs)))
         else:
             del cs[order + 1 :]
         self.order: int = order
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: Iterable[Scalar], order: int) -> TruncSeries:
+        # trusted construction: exactly order + 1 coefficients, already exact
+        series = object.__new__(cls)
+        series.order = order
+        series.coeffs = tuple(cs)
+        return series
 
     @classmethod
     def zero(cls, order: int) -> TruncSeries:
@@ -197,7 +242,7 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Scalar:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient t^{k} is outside truncation order {self.order}")
         return self.coeffs[k]
@@ -216,46 +261,47 @@ class TruncSeries:
             raise ValueError("cannot raise the truncation order of a series")
         if order == self.order:
             return self
-        return TruncSeries(self.coeffs[: order + 1], order)
+        return TruncSeries._of(self.coeffs[: order + 1], order)
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries._of([-c for c in self.coeffs], self.order)
 
     def __add__(self, other: TruncSeries | Scalar) -> TruncSeries:
         if isinstance(other, (int, Fraction)):
             cs = list(self.coeffs)
-            cs[0] += other
-            return TruncSeries(cs, self.order)
+            cs[0] = _exact(cs[0] + other)
+            return TruncSeries._of(cs, self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
+        return TruncSeries._of(_exact_all(map(operator.add, self.coeffs[: n + 1], other.coeffs)), n)
 
     __radd__ = __add__
 
     def __sub__(self, other: TruncSeries | Scalar) -> TruncSeries:
-        return self + (-other if isinstance(other, TruncSeries) else -Fraction(other))
+        return self + (-other if isinstance(other, TruncSeries) else -_exact(other))
 
     def __rsub__(self, other: Scalar) -> TruncSeries:
         return (-self) + other
 
     def __mul__(self, other: TruncSeries | Scalar) -> TruncSeries:
         if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs], self.order)
+            return TruncSeries._of(_exact_all(c * other for c in self.coeffs), self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
+        # only nonzero pairs: the series here are often sparse (even-only,
+        # shifted, or polynomials padded with zeros)
+        b_terms = [(j, bj) for j, bj in enumerate(other.coeffs[: n + 1]) if bj]
+        out: list[Scalar] = [0] * (n + 1)
+        for i, ai in enumerate(self.coeffs[: n + 1]):
+            if ai:
+                room = n - i
+                for j, bj in b_terms:
+                    if j > room:
+                        break
                     out[i + j] += ai * bj
-        return TruncSeries(out, n)
+        return TruncSeries._of(_exact_all(out), n)
 
     __rmul__ = __mul__
 
@@ -275,20 +321,20 @@ class TruncSeries:
     def inv(self) -> TruncSeries:
         """Multiplicative inverse: ``self * self.inv() == 1`` up to the order.
 
-        Forward recurrence c_k = (delta_{k0} - sum_{j=1..k} a_j c_{k-j}) / a_0.
+        Forward recurrence c_k = (delta_{k0} - sum_{j=1..k} a_j c_{k-j}) / a_0,
+        over every j; the dense reference for :func:`expand_rational`.
         """
         a = self.coeffs
         if a[0] == 0:
             raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        inv0 = 1 / a[0]
-        out = [inv0]
+        out = [_div(1, a[0])]
         for k in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc: Scalar = 0
             for j in range(1, k + 1):
                 if a[j]:
                     acc += a[j] * out[k - j]
-            out.append(-acc * inv0)
-        return TruncSeries(out, self.order)
+            out.append(_div(-acc, a[0]))
+        return TruncSeries._of(out, self.order)
 
     def shift(self, m: int) -> TruncSeries:
         """Multiply by t^m, keeping the truncation order."""
@@ -297,7 +343,7 @@ class TruncSeries:
         if m == 0:
             return self
         keep = max(self.order + 1 - m, 0)
-        return TruncSeries([Fraction(0)] * min(m, self.order + 1) + list(self.coeffs[:keep]), self.order)
+        return TruncSeries._of([0] * min(m, self.order + 1) + list(self.coeffs[:keep]), self.order)
 
     def __repr__(self) -> str:
         return f"TruncSeries([{', '.join(_fmt(c) for c in self.coeffs)}], order={self.order})"
@@ -306,11 +352,27 @@ class TruncSeries:
 def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
     """Taylor expansion of num/den at t = 0, exact up to ``order``.
 
-    The denominator must not vanish at t = 0.
+    The denominator must not vanish at t = 0.  Sparse forward recurrence
+
+        c_k = (num_k - sum_{j>=1, den_j != 0} den_j c_{k-j}) / den_0,
+
+    O(order * nnz(den)) operations; the denominators here are short products
+    of (1 - t^k) factors, so this is linear in the order.
     """
-    if den.constant_term == 0:
+    d0 = den.constant_term
+    if d0 == 0:
         raise ZeroConstantTermError("denominator vanishes at t = 0")
-    return num.as_series(order) * den.as_series(order).inv()
+    terms = [(j, dj) for j, dj in enumerate(den.coeffs[1 : order + 1], 1) if dj]
+    a = num.coeffs
+    out: list[Scalar] = []
+    for k in range(order + 1):
+        acc = a[k] if k < len(a) else 0
+        for j, dj in terms:
+            if j > k:
+                break
+            acc -= dj * out[k - j]
+        out.append(_div(acc, d0))
+    return TruncSeries._of(out, order)
 
 
 class BiSeries:

@@ -23,7 +23,7 @@ __all__ = [
     "bu1_series",
     "jacobian_series",
     "sym_cover_series",
-    "sym_oracle",
+    "sym_generating",
     "sym_series",
 ]
 
@@ -85,20 +85,21 @@ def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> Tru
 
 @lru_cache(maxsize=None)
 def _sym_poly(genus: int, n: int) -> Poly:
-    # MacDonald generating function: P_t(S^n M) = [x^n] (1+xt)^{2g} / ((1-x)(1-xt^2)).
-    # The answer is a polynomial of degree 2n, so t-order 2n is exact.
-    t_order = 2 * n
+    # Macdonald (1962): H^*(S^n M) has 2g generators in degree 1 (each usable
+    # at most once) and one generator in degree 2, subject only to total
+    # weight <= n, so
+    #     b_k = sum over a + 2j = k with a + j <= n of C(2g, a).
     g2 = 2 * genus
-    num = BiSeries.of_polys(
-        [Poly.monomial(a, binomial(g2, a)) for a in range(min(g2, n) + 1)], n, t_order
-    )
-    # (1-x)(1-xt^2) = 1 - (1+t^2) x + t^2 x^2
-    den = BiSeries.of_polys([Poly.one(), Poly([-1, 0, -1]), Poly([0, 0, 1])], n, t_order)
-    return Poly((num * den.inv()).x_coeff(n).coeffs)
+    out = [0] * (2 * n + 1)
+    for a in range(min(g2, n) + 1):
+        c = binomial(g2, a)
+        for j in range(n - a + 1):
+            out[a + 2 * j] += c
+    return Poly(out)
 
 
 def sym_series(surface: SurfaceSpec, n: int, order: int) -> TruncSeries:
-    """P_t(S^n M) extracted from the MacDonald generating function.
+    """P_t(S^n M) by Macdonald's enumeration of the cohomology generators.
 
     A palindromic polynomial of degree 2n (the symmetric product is smooth
     and compact).
@@ -108,23 +109,25 @@ def sym_series(surface: SurfaceSpec, n: int, order: int) -> TruncSeries:
     return _sym_poly(surface.genus, n).as_series(order)
 
 
-def sym_oracle(surface: SurfaceSpec, n: int) -> TruncSeries:
-    """Betti series of S^n M by direct enumeration, no generating functions.
+def sym_generating(surface: SurfaceSpec, n: int) -> TruncSeries:
+    """P_t(S^n M) as the x^n coefficient of Macdonald's generating function
 
-    H^*(S^n M) has 2g generators in degree 1 (each usable at most once) and
-    one generator in degree 2, subject only to total weight <= n, so
+        (1+xt)^{2g} / ((1-x)(1-xt^2)),
 
-        b_k = sum over a + 2j = k with a + j <= n of C(2g, a).
+    extracted by bivariate series arithmetic.  Shares no code with
+    :func:`sym_series`, which it checks.  The answer is a polynomial of
+    degree 2n, so t-order 2n is exact.
     """
     if n < 0:
         raise ValueError("symmetric-product size must be nonnegative")
+    t_order = 2 * n
     g2 = 2 * surface.genus
-    out = [0] * (2 * n + 1)
-    for a in range(min(g2, n) + 1):
-        c = binomial(g2, a)
-        for j in range(n - a + 1):
-            out[a + 2 * j] += c
-    return TruncSeries(out, 2 * n)
+    num = BiSeries.of_polys(
+        [Poly.monomial(a, binomial(g2, a)) for a in range(min(g2, n) + 1)], n, t_order
+    )
+    # (1-x)(1-xt^2) = 1 - (1+t^2) x + t^2 x^2
+    den = BiSeries.of_polys([Poly.one(), Poly([-1, 0, -1]), Poly([0, 0, 1])], n, t_order)
+    return (num * den.inv()).x_coeff(n)
 
 
 def _check_cover_range(surface: SurfaceSpec, n: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import Poly, TruncSeries, expand_rational
+from .series import Poly, TruncSeries, expand_rational, first_non_integer
 from .spaces import (
     Determinant,
     SurfaceSpec,
@@ -124,6 +124,7 @@ def max_stratum(spec: ModuliSpec) -> int:
     return d
 
 
+@lru_cache(maxsize=None)
 def _jacobian_bu1(spec: ModuliSpec) -> TruncSeries:
     # (1+t)^{2g} / (1-t^2): Jacobian times BU(1)
     return expand_rational(
@@ -131,6 +132,7 @@ def _jacobian_bu1(spec: ModuliSpec) -> TruncSeries:
     )
 
 
+@lru_cache(maxsize=None)
 def _eta_series(spec: ModuliSpec) -> TruncSeries:
     """Equivariant series of the d-th critical set (the same for every d).
 
@@ -158,9 +160,9 @@ def _correction_series(spec: ModuliSpec, n: int) -> TruncSeries | None:
 
 
 def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
-    for k, c in enumerate(series.coeffs):
-        if c.denominator != 1 or c < 0:
-            raise NegativeBettiError(f"{what}: coefficient of t^{k} is {c}")
+    k = first_non_integer(series, nonnegative=True)
+    if k is not None:
+        raise NegativeBettiError(f"{what}: coefficient of t^{k} is {series.coeffs[k]}")
     return series
 
 
@@ -296,19 +298,33 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
 
 
 @lru_cache(maxsize=None)
+def _stratum_spaces(spec: ModuliSpec) -> tuple[TruncSeries, ...]:
+    # X_0 .. X_{max_stratum}, each X_d = X_{d-1} + stratum difference d:
+    # one difference per stratum, in a loop so a large order cannot hit the
+    # recursion limit.
+    spaces = [semistable_series(spec)]
+    for d in range(1, max_stratum(spec) + 1):
+        spaces.append(
+            _require_betti(spaces[-1] + stratum_difference(spec, d), f"stratum space X_{d}")
+        )
+    return tuple(spaces)
+
+
+@lru_cache(maxsize=None)
 def stratum_space_series(spec: ModuliSpec, d: int) -> TruncSeries:
     """Equivariant series of X_d, the union of the semistable locus with the
     strata of index at most d.
 
     X_0 is the semistable locus; once 2 mu_{d+1} > N the series equals the
-    classifying-space series up to t^N.
+    classifying-space series up to t^N (every later stratum difference
+    vanishes there).
     """
     if d < 0:
         raise ValueError("stratum spaces are indexed by d >= 0")
-    total = semistable_series(spec)
-    for ell in range(1, d + 1):
-        total = total + stratum_difference(spec, ell)
-    return _require_betti(total, f"stratum space X_{d}")
+    if d == 0:
+        return semistable_series(spec)  # needs no stratum
+    spaces = _stratum_spaces(spec)
+    return spaces[min(d, len(spaces) - 1)]
 
 
 @dataclass(frozen=True)

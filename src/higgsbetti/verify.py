@@ -17,7 +17,7 @@ from .closedforms import (
     residue_combination,
 )
 from .report import CheckResult
-from .series import TruncSeries
+from .series import TruncSeries, first_non_integer
 from .spaces import Determinant, bg_series
 from .strata import (
     ModuliSpec,
@@ -50,13 +50,6 @@ def _equality_check(name: str, a: TruncSeries, b: TruncSeries, ok_detail: str) -
     if k is None:
         return CheckResult(name, True, ok_detail)
     return CheckResult(name, False, f"first mismatch at t^{k}: {a.coeffs[k]} != {b.coeffs[k]}")
-
-
-def _first_non_betti(series: TruncSeries) -> int | None:
-    for k, c in enumerate(series.coeffs):
-        if c.denominator != 1 or c < 0:
-            return k
-    return None
 
 
 def run_checks(spec: ModuliSpec) -> list[CheckResult]:
@@ -122,7 +115,7 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
     for label, series in [("semistable", semistable), ("moduli", moduli)] + [
         (f"X_{d}", stratum_space_series(spec, d)) for d in range(max_stratum(spec) + 1)
     ]:
-        k = _first_non_betti(series)
+        k = first_non_integer(series, nonnegative=True)
         if k is not None:
             bad.append(f"{label} at t^{k}")
     checks.append(

@@ -21,7 +21,7 @@ from higgsbetti.spaces import (
     Determinant,
     SurfaceSpec,
     bg_series,
-    sym_oracle,
+    sym_generating,
     sym_series,
 )
 from higgsbetti.strata import (
@@ -118,7 +118,7 @@ def test_criterion_06_macdonald_oracle(capsys):
         surface = SurfaceSpec(genus)
         for n in range(13):
             series = sym_series(surface, n, 2 * n)
-            ok = ok and series == sym_oracle(surface, n)
+            ok = ok and series == sym_generating(surface, n)
             if n <= 2 * genus - 2:
                 cs = series.coeffs
                 ok = ok and all(cs[k] == cs[2 * n - k] for k in range(2 * n + 1))

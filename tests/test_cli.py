@@ -100,6 +100,19 @@ def test_output_file(tmp_path, capsys):
     assert payload["route"] == "equivariant"
 
 
+def test_output_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(
+        capsys,
+        "betti", "-g", "2", "--degree", "0", "--determinant", "fixed", "--output", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert f"higgsbetti: error: cannot write {target}: " in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_verify_passes_degree_zero(capsys):
     code, out, _ = run(
         capsys, "verify", "-g", "2", "--degree", "0", "--determinant", "fixed"

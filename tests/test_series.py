@@ -267,3 +267,43 @@ def test_x_coeff_of_product_is_convolution(fs, gs, m):
     for i in range(m + 1):
         direct = direct + f.x_coeff(i) * g.x_coeff(m - i)
     assert product.x_coeff(m) == direct
+
+
+# ---------------------------------------------------------------------------
+# exact coefficient representation and the sparse rational expansion
+
+scalar_st = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.integers(-9, 9).map(lambda n: Fraction(2 * n, 2)),  # integral Fraction
+)
+poly_st = st.lists(scalar_st, max_size=8)
+den_st = st.tuples(st.sampled_from([1, -1, 2, -2, 4]), poly_st).map(
+    lambda t: Poly([t[0]] + t[1])
+)
+
+
+def assert_exact(coeffs):
+    for c in coeffs:
+        assert type(c) in (int, Fraction)
+        assert type(c) is int or c.denominator != 1
+
+
+@given(poly_st, den_st, st.integers(0, 16))
+def test_sparse_expand_rational_matches_dense_inverse(num_cs, den, order):
+    num = Poly(num_cs)
+    dense = num.as_series(order) * den.as_series(order).inv()
+    assert expand_rational(num, den, order) == dense
+
+
+@given(poly_st, poly_st, den_st, st.integers(0, 12))
+def test_coefficients_are_int_when_integral_never_float(xs, ys, den, order):
+    p, q = Poly(xs), Poly(ys)
+    for poly in (p, q, p + q, p - q, p * q, p * Fraction(2, 3), 1 - p, -p, p ** 2):
+        assert_exact(poly.coeffs)
+    a, b = p.as_series(order), q.as_series(order)
+    for series in (
+        a, a + b, a - b, a * b, a * Fraction(1, 2), 2 - a, a + Fraction(1, 3), -a,
+        a.shift(2), a ** 2, den.as_series(order).inv(), expand_rational(p, den, order),
+    ):
+        assert_exact(series.coeffs)

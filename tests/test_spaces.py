@@ -13,7 +13,7 @@ from higgsbetti.spaces import (
     bu1_series,
     jacobian_series,
     sym_cover_series,
-    sym_oracle,
+    sym_generating,
     sym_series,
 )
 
@@ -79,17 +79,17 @@ def test_sym_series_small():
 
 
 def test_sym_oracle_small():
-    assert ints(sym_oracle(G2, 1)) == [1, 4, 1]
-    assert sym_oracle(G2, 2)[2] == 7  # C(4,2) + C(4,0)
+    assert ints(sym_generating(G2, 1)) == [1, 4, 1]
+    assert sym_generating(G2, 2)[2] == 7  # C(4,2) + C(4,0)
     for g in (2, 3, 5):
-        assert ints(sym_oracle(SurfaceSpec(g), 0)) == [1]
+        assert ints(sym_generating(SurfaceSpec(g), 0)) == [1]
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_sym_series_matches_oracle(genus):
     surface = SurfaceSpec(genus)
     for n in range(13):
-        assert sym_series(surface, n, 2 * n) == sym_oracle(surface, n)
+        assert sym_series(surface, n, 2 * n) == sym_generating(surface, n)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])

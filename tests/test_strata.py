@@ -3,6 +3,7 @@ telescoping, and the Kirwan monotonicity shadows."""
 
 import pytest
 
+from higgsbetti import spaces, strata
 from higgsbetti.series import TruncSeries, binomial
 from higgsbetti.spaces import Determinant, bg_series
 from higgsbetti.strata import (
@@ -165,6 +166,40 @@ def test_stratum_space_convention_and_stabilization():
         assert stratum_space_series(spec, top) == bg_series(
             spec.surface, spec.determinant, spec.truncation
         )
+
+
+def clear_caches():
+    for module in (spaces, strata):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("det", [FIXED, NONFIXED])
+def test_stratum_spaces_are_built_incrementally(det, monkeypatch):
+    spec = spec_of(5, 1, det)
+    top = max_stratum(spec)
+    clear_caches()
+    calls = []
+    difference = strata.stratum_difference
+
+    def counted(spec, d):
+        calls.append(d)
+        return difference(spec, d)
+
+    monkeypatch.setattr(strata, "stratum_difference", counted)
+    kirwan_monotonicity_check(spec)
+    assert stratum_space_series.cache_info().misses == top + 1
+    assert sorted(calls) == list(range(1, top + 1))  # one difference per stratum
+    spaces_x = [stratum_space_series(spec, d) for d in range(top + 1)]
+    monkeypatch.undo()
+
+    clear_caches()
+    expected = semistable_series(spec)
+    for d in range(top + 1):
+        if d:
+            expected = expected + stratum_difference(spec, d)
+        assert spaces_x[d] == expected
 
 
 def test_stratum_space_coefficients_are_betti_numbers():
