@@ -74,8 +74,6 @@ def _main(argv: Sequence[str] | None) -> int:
 
     truncation = args.truncate
     if truncation is None:
-        if args.genus < 2:
-            parser.error("genus must be at least 2")
         truncation = default_truncation(args.genus, args.degree)
     try:
         spec = ModuliSpec(args.genus, args.degree, Determinant(args.determinant), truncation)

@@ -196,66 +196,25 @@ def binomial_extra(surface: SurfaceSpec, route: str, order: int) -> TruncSeries:
 def corollary_closed_form(
     surface: SurfaceSpec, determinant: Determinant, order: int
 ) -> TruncSeries:
-    """Closed form of the degree-zero semistable series, expanded term by
-    term and summed exactly.
+    """Closed form of the degree-zero semistable series, built from the
+    closed kernel and the closed binomial extras.
 
     Fixed determinant:
 
         ((1+t^3)^{2g} - (1+t)^{2g} t^{2g+2}) / ((1-t^2)(1-t^4))
         + K_g(t) closed form + binomial extras
 
-    Non-fixed determinant: the same pieces carried by Jacobian/BU(1)
-    factors, with the extras absorbed into the double-pole term.
+    Non-fixed determinant: the leading term plus the closed kernel, times
+    the Jacobian/BU(1) factor (1+t)^{2g}/(1-t^2); no binomial extras, since
+    the non-fixed correction uses S^n M itself, not its cover.
     """
-    g = surface.genus
-    g2 = 2 * g
-    one_plus_t3 = Poly([1, 0, 0, 1])
-    bracket_num, bracket_den = _double_pole_bracket(g)
-
+    g2 = 2 * surface.genus
+    leading = expand_rational(
+        Poly([1, 0, 0, 1]) ** g2 - _ONE_PLUS_T ** g2 * Poly.monomial(g2 + 2),
+        _ONE_MINUS_T2 * _ONE_MINUS_T4,
+        order,
+    )
+    total = leading + lemma_closed(surface, order)
     if determinant is Determinant.FIXED:
-        total = expand_rational(
-            one_plus_t3 ** g2 - _ONE_PLUS_T ** g2 * Poly.monomial(g2 + 2),
-            _ONE_MINUS_T2 * _ONE_MINUS_T4,
-            order,
-        )
-        total = total + Poly.monomial(4 * g - 4, -1).as_series(order)
-        total = total + expand_rational(
-            Poly.monomial(g2 + 2) * _ONE_PLUS_T ** g2, _ONE_MINUS_T2 * _ONE_MINUS_T4, order
-        )
-        total = total + expand_rational(
-            Poly.monomial(4 * g - 4) * _ONE_MINUS_T ** g2, _ONE_PLUS_T2 * 4, order
-        )
-        total = total + expand_rational(
-            Poly.monomial(4 * g - 4) * _ONE_PLUS_T ** g2 * bracket_num,
-            _ONE_MINUS_T2 * 2 * bracket_den,
-            order,
-        )
-        mass = 2 ** (2 * g) - 1
-        even_half = _ONE_PLUS_T ** (2 * g - 2) + _ONE_MINUS_T ** (2 * g - 2) - 2
-        total = total + (Poly.monomial(4 * g - 4, Fraction(mass, 2)) * even_half).as_series(order)
-        return total
-
-    total = expand_rational(
-        _ONE_PLUS_T ** g2 * (one_plus_t3 ** g2 - _ONE_PLUS_T ** g2 * Poly.monomial(g2 + 2)),
-        _ONE_MINUS_T2 ** 2 * _ONE_MINUS_T4,
-        order,
-    )
-    total = total + expand_rational(
-        -Poly.monomial(4 * g - 4) * _ONE_PLUS_T ** g2, _ONE_MINUS_T2, order
-    )
-    total = total + expand_rational(
-        Poly.monomial(g2 + 2) * _ONE_PLUS_T ** (2 * g2),
-        _ONE_MINUS_T2 ** 2 * _ONE_MINUS_T4,
-        order,
-    )
-    total = total + expand_rational(
-        Poly.monomial(4 * g - 4) * _ONE_MINUS_T ** g2 * _ONE_PLUS_T ** g2,
-        _ONE_PLUS_T2 * _ONE_MINUS_T2 * 4,
-        order,
-    )
-    total = total + expand_rational(
-        Poly.monomial(4 * g - 4) * _ONE_PLUS_T ** (2 * g2) * bracket_num,
-        _ONE_MINUS_T2 ** 2 * 2 * bracket_den,
-        order,
-    )
-    return total
+        return total + binomial_extra(surface, "closed", order)
+    return total * expand_rational(_ONE_PLUS_T ** g2, _ONE_MINUS_T2, order)

@@ -13,6 +13,7 @@ space, which is the engine's main internal consistency check.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +46,9 @@ __all__ = [
     "unstable_sum_resummed",
 ]
 
+_ONE_PLUS_T = Poly([1, 1])
 _ONE_MINUS_T2 = Poly([1, 0, -1])
+_ONE_MINUS_T4 = Poly([1, 0, 0, 0, -1])
 
 
 class NegativeBettiError(ArithmeticError):
@@ -124,39 +127,89 @@ def max_stratum(spec: ModuliSpec) -> int:
     return d
 
 
+def _has_global_bu1(spec: ModuliSpec) -> bool:
+    """Non-fixed determinant in degree 1: the only stabilizer is the constant
+    central U(1), which contributes a global BU(1) factor that the moduli
+    space divides out."""
+    return spec.determinant is Determinant.NONFIXED and spec.degree == 1
+
+
+def _jacobian_bu1_factor(spec: ModuliSpec, moduli: bool) -> tuple[Poly, Poly]:
+    """One Jacobian and one BU(1) factor, (1+t)^{2g}/(1-t^2), as numerator
+    and denominator; ``moduli`` drops the BU(1) where it is the global one
+    (:func:`_has_global_bu1`)."""
+    bu1 = Poly.one() if moduli and _has_global_bu1(spec) else _ONE_MINUS_T2
+    return _ONE_PLUS_T ** (2 * spec.genus), bu1
+
+
+def _critical_factor(spec: ModuliSpec, moduli: bool) -> tuple[Poly, Poly]:
+    """eta_d, the equivariant series of the d-th critical set (the same for
+    every d), as numerator and denominator.
+
+    Fixed determinant: J_d x BU(1), i.e. (1+t)^{2g}/(1-t^2); non-fixed: two
+    Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2, of which
+    ``moduli`` drops the global BU(1) in degree 1.
+    """
+    num, den = _jacobian_bu1_factor(spec, moduli=False)
+    if spec.determinant is Determinant.FIXED:
+        return num, den
+    other_num, other_den = _jacobian_bu1_factor(spec, moduli)
+    return num * other_num, den * other_den
+
+
 @lru_cache(maxsize=None)
-def _jacobian_bu1(spec: ModuliSpec) -> TruncSeries:
-    # (1+t)^{2g} / (1-t^2): Jacobian times BU(1)
-    return expand_rational(
-        Poly([1, 1]) ** (2 * spec.genus), _ONE_MINUS_T2, spec.truncation
+def _factor_series(
+    factor: Callable[[ModuliSpec, bool], tuple[Poly, Poly]], spec: ModuliSpec, moduli: bool
+) -> TruncSeries:
+    # one expansion of each factor per spec, shared by every stratum
+    return expand_rational(*factor(spec, moduli), spec.truncation)
+
+
+def _correction_factor(
+    spec: ModuliSpec, n: int, cover: bool = True, moduli: bool = False
+) -> TruncSeries:
+    """T(n), the equivariant series of the subspace responsible for the
+    index jump, for n = n_d >= 0.
+
+    Fixed determinant: the 2^{2g}-fold cover of S^n M, or S^n M itself
+    without ``cover`` (the invariant part); non-fixed: S^n M times a
+    Jacobian and a BU(1) factor, of which ``moduli`` drops the global BU(1)
+    in degree 1.
+    """
+    if spec.determinant is Determinant.FIXED:
+        sym = sym_cover_series if cover else sym_series
+        return sym(spec.surface, n, spec.truncation)
+    jacobian_bu1 = _factor_series(_jacobian_bu1_factor, spec, moduli=moduli)
+    return sym_series(spec.surface, n, spec.truncation) * jacobian_bu1
+
+
+def _shifted_sum(
+    spec: ModuliSpec, last: int, term: Callable[[int], TruncSeries]
+) -> TruncSeries:
+    """Sum over d = 1..last of t^{2 mu_d} * term(n_d): the one stratum loop."""
+    total = TruncSeries.zero(spec.truncation)
+    for d in range(1, last + 1):
+        idx = mu_index(spec, d)
+        total = total + term(idx.n).shift(2 * idx.mu)
+    return total
+
+
+def _morse_recursion(spec: ModuliSpec, cover: bool) -> TruncSeries:
+    # P_t(BG) - sum_d t^{2 mu_d} eta + sum_{d<g} t^{2 mu_d} T(n_d); n_d >= 0
+    # exactly for d <= g-1, the strata where the Morse index jumps
+    eta = _factor_series(_critical_factor, spec, moduli=False)
+    total = bg_series(spec.surface, spec.determinant, spec.truncation)
+    total = total - _shifted_sum(spec, max_stratum(spec), lambda n: eta)
+    return total + _shifted_sum(
+        spec, spec.genus - 1, lambda n: _correction_factor(spec, n, cover)
     )
 
 
-@lru_cache(maxsize=None)
-def _eta_series(spec: ModuliSpec) -> TruncSeries:
-    """Equivariant series of the d-th critical set (the same for every d).
-
-    Fixed determinant: J_d x BU(1), i.e. (1+t)^{2g}/(1-t^2); non-fixed:
-    two Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2.
-    """
-    if spec.determinant is Determinant.FIXED:
-        return _jacobian_bu1(spec)
-    return expand_rational(
-        Poly([1, 1]) ** (4 * spec.genus), _ONE_MINUS_T2 ** 2, spec.truncation
-    )
-
-
-def _correction_series(spec: ModuliSpec, n: int) -> TruncSeries | None:
-    """Equivariant series of the subspace responsible for the index jump.
-
-    Fixed determinant: the 2^{2g}-fold cover of S^n M; non-fixed: S^n M
-    times a Jacobian and a BU(1) factor.  ``None`` once n < 0 (no jump).
-    """
-    if n < 0:
-        return None
-    if spec.determinant is Determinant.FIXED:
-        return sym_cover_series(spec.surface, n, spec.truncation)
-    return sym_series(spec.surface, n, spec.truncation) * _jacobian_bu1(spec)
+def _moduli_part(spec: ModuliSpec, series: TruncSeries) -> TruncSeries:
+    # divides out the global BU(1) by multiplying with (1-t^2)
+    if _has_global_bu1(spec):
+        return _ONE_MINUS_T2.as_series(spec.truncation) * series
+    return series
 
 
 def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
@@ -174,17 +227,8 @@ def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     Non-fixed, degree 0: (1+t)^{4g}/(1-t^2)^2.
     Non-fixed, degree 1: (1+t)^{4g}/(1-t^2).
     """
-    g2 = 2 * spec.genus
-    if spec.determinant is Determinant.FIXED:
-        factor = _jacobian_bu1(spec)
-    elif spec.degree == 0:
-        factor = expand_rational(Poly([1, 1]) ** (2 * g2), _ONE_MINUS_T2 ** 2, spec.truncation)
-    else:
-        factor = expand_rational(Poly([1, 1]) ** (2 * g2), _ONE_MINUS_T2, spec.truncation)
-    total = TruncSeries.zero(spec.truncation)
-    for d in range(1, max_stratum(spec) + 1):
-        total = total + factor.shift(2 * mu_index(spec, d).mu)
-    return total
+    eta = _factor_series(_critical_factor, spec, moduli=True)
+    return _shifted_sum(spec, max_stratum(spec), lambda n: eta)
 
 
 def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
@@ -194,18 +238,9 @@ def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     factor * t^{2 mu_1} / (1 - t^4).  Cross-check against
     :func:`unstable_sum`.
     """
-    g2 = 2 * spec.genus
-    den = Poly([1, 0, 0, 0, -1])
-    if spec.determinant is Determinant.FIXED:
-        num = Poly([1, 1]) ** g2
-        den = den * _ONE_MINUS_T2
-    elif spec.degree == 0:
-        num = Poly([1, 1]) ** (2 * g2)
-        den = den * _ONE_MINUS_T2 ** 2
-    else:
-        num = Poly([1, 1]) ** (2 * g2)
-        den = den * _ONE_MINUS_T2
-    return expand_rational(num, den, spec.truncation).shift(2 * mu_index(spec, 1).mu)
+    num, den = _critical_factor(spec, moduli=True)
+    tail = expand_rational(num, den * _ONE_MINUS_T4, spec.truncation)
+    return tail.shift(2 * mu_index(spec, 1).mu)
 
 
 def correction_sum(spec: ModuliSpec) -> TruncSeries:
@@ -216,18 +251,9 @@ def correction_sum(spec: ModuliSpec) -> TruncSeries:
     S^n M times (1+t)^{2g}/(1-t^2); non-fixed, degree 1: S^n M times the
     Jacobian (1+t)^{2g}.
     """
-    total = TruncSeries.zero(spec.truncation)
-    for d in range(1, spec.genus):
-        idx = mu_index(spec, d)
-        if spec.determinant is Determinant.FIXED:
-            term = sym_cover_series(spec.surface, idx.n, spec.truncation)
-        elif spec.degree == 0:
-            term = sym_series(spec.surface, idx.n, spec.truncation) * _jacobian_bu1(spec)
-        else:
-            jac = (Poly([1, 1]) ** (2 * spec.genus)).as_series(spec.truncation)
-            term = sym_series(spec.surface, idx.n, spec.truncation) * jac
-        total = total + term.shift(2 * idx.mu)
-    return total
+    return _shifted_sum(
+        spec, spec.genus - 1, lambda n: _correction_factor(spec, n, moduli=True)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -239,16 +265,20 @@ def semistable_series(spec: ModuliSpec) -> TruncSeries:
     correction t^{2 mu_d} * T_d for the first g-1 strata, where the Morse
     index jumps.  Coefficients must come out nonnegative integers.
     """
-    total = bg_series(spec.surface, spec.determinant, spec.truncation)
-    eta = _eta_series(spec)
-    for d in range(1, max_stratum(spec) + 1):
-        total = total - eta.shift(2 * mu_index(spec, d).mu)
-    for d in range(1, spec.genus):
-        idx = mu_index(spec, d)
-        correction = _correction_series(spec, idx.n)
-        if correction is not None:
-            total = total + correction.shift(2 * idx.mu)
-    return _require_betti(total, "semistable series")
+    return _require_betti(_morse_recursion(spec, cover=True), "semistable series")
+
+
+def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
+    """Semistable series restricted to the invariant part of the cohomology
+    under the 2-torsion action (fixed determinant only).
+
+    Same recursion as :func:`semistable_series` with each covered symmetric
+    product replaced by the plain one, dropping the anti-invariant classes.
+    Bounded above by the classifying-space series coefficientwise.
+    """
+    if spec.determinant is not Determinant.FIXED:
+        raise ValueError("the invariant-part series is a fixed-determinant object")
+    return _require_betti(_morse_recursion(spec, cover=False), "invariant-part series")
 
 
 def moduli_series(spec: ModuliSpec) -> TruncSeries:
@@ -261,25 +291,23 @@ def moduli_series(spec: ModuliSpec) -> TruncSeries:
     constant central U(1) contributes a global BU(1) factor, divided out by
     multiplying with (1-t^2).
     """
-    series = semistable_series(spec)
-    if spec.degree == 1 and spec.determinant is Determinant.NONFIXED:
-        series = _ONE_MINUS_T2.as_series(spec.truncation) * series
-        return _require_betti(series, "moduli series")
-    return series
+    return _require_betti(_moduli_part(spec, semistable_series(spec)), "moduli series")
 
 
 def stratification_formula(spec: ModuliSpec) -> TruncSeries:
-    """The three-term assembly ``leading - unstable_sum + correction_sum``.
+    """The three-term assembly ``leading - unstable tail + correction_sum``.
 
     The leading term is (1-t^2) * P_t(BG) for (non-fixed, degree 1), where
     the assembly produces the moduli series directly, and P_t(BG) otherwise,
-    where it reproduces :func:`semistable_series`.  Both routes must agree;
-    the verification suite checks this.
+    where it reproduces :func:`semistable_series`.  The unstable tail is the
+    geometric resummation :func:`unstable_sum_resummed`, so this route and
+    the stratum-by-stratum recursion share the factors but not the infinite
+    sum; the verification suite checks that they agree.
     """
-    leading = bg_series(spec.surface, spec.determinant, spec.truncation)
-    if spec.degree == 1 and spec.determinant is Determinant.NONFIXED:
-        leading = _ONE_MINUS_T2.as_series(spec.truncation) * leading
-    return leading - unstable_sum(spec) + correction_sum(spec)
+    leading = _moduli_part(
+        spec, bg_series(spec.surface, spec.determinant, spec.truncation)
+    )
+    return leading - unstable_sum_resummed(spec) + correction_sum(spec)
 
 
 def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
@@ -290,10 +318,9 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
     fails (fixed determinant).
     """
     idx = mu_index(spec, d)
-    term = _eta_series(spec)
-    correction = _correction_series(spec, idx.n)
-    if correction is not None:
-        term = term - correction
+    term = _factor_series(_critical_factor, spec, moduli=False)
+    if idx.n >= 0:
+        term = term - _correction_factor(spec, idx.n)
     return term.shift(2 * idx.mu)
 
 
@@ -356,25 +383,3 @@ def kirwan_monotonicity_check(spec: ModuliSpec) -> list[KirwanViolation]:
                 )
         previous = current
     return violations
-
-
-def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
-    """Semistable series restricted to the invariant part of the cohomology
-    under the 2-torsion action (fixed determinant only).
-
-    Same recursion as :func:`semistable_series` with each covered symmetric
-    product replaced by the plain one, dropping the anti-invariant classes.
-    Bounded above by the classifying-space series coefficientwise.
-    """
-    if spec.determinant is not Determinant.FIXED:
-        raise ValueError("the invariant-part series is a fixed-determinant object")
-    total = bg_series(spec.surface, spec.determinant, spec.truncation)
-    eta = _eta_series(spec)
-    for d in range(1, max_stratum(spec) + 1):
-        total = total - eta.shift(2 * mu_index(spec, d).mu)
-    for d in range(1, spec.genus):
-        idx = mu_index(spec, d)
-        if idx.n >= 0:
-            correction = sym_series(spec.surface, idx.n, spec.truncation)
-            total = total + correction.shift(2 * idx.mu)
-    return _require_betti(total, "invariant-part series")

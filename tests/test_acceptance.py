@@ -155,17 +155,24 @@ def test_criterion_08_telescoping(capsys):
 
 
 def test_criterion_09_finite_support_degree_one(capsys):
+    # M retracts onto the nilpotent cone (Hitchin): top degree 6g-6 for fixed
+    # determinant, 8g-6 with the Jacobian for non-fixed
     ok = True
     for genus in (2, 3, 4):
         order = 12 * genus - 8
-        for det in Determinant:
+        for det, top in ((FIXED, 6 * genus - 6), (NONFIXED, 8 * genus - 6)):
             series = moduli_series(ModuliSpec(genus, 1, det, order))
-            ok = ok and all(c == 0 for c in series.coeffs[12 * genus - 12 + 1 :])
+            ok = ok and series[top] != 0
+            ok = ok and all(c == 0 for c in series.coeffs[top + 1 :])
     g2 = moduli_series(ModuliSpec(2, 1, FIXED, 16))
     top = max(k for k, c in enumerate(g2.coeffs) if c)
     ok = ok and top == 6
     with capsys.disabled():
-        verdict("criterion 9: degree-one moduli series supported in k <= 12g-12", ok)
+        verdict(
+            "criterion 9: degree-one moduli series supported in k <= 6g-6 (fixed) "
+            "or 8g-6 (non-fixed), with b_top != 0",
+            ok,
+        )
 
 
 def test_criterion_10_kirwan_monotonicity(capsys):

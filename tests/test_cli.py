@@ -130,6 +130,21 @@ def test_verify_reports_expected_violation(capsys):
     assert "(d=1, k=5): 34 > 4" in out
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_verify_fixed_witness_below_the_truncation(capsys, genus, degree):
+    # the first witness sits at k = 2 mu_1 + n_1 = 4g-2-d_E; a smaller -N
+    # must still find it instead of failing the check
+    first = 4 * genus - 2 - degree
+    for order in range(1, first):
+        code, out, _ = run(
+            capsys, "verify", "-g", str(genus), "-d", str(degree), "--determinant", "fixed",
+            "-N", str(order),
+        )
+        assert code == 0, order
+        assert f"witnesses: (d=1, k={first}): " in out
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     # sabotage one route to confirm the failure path and exit code
     monkeypatch.setattr(
@@ -144,7 +159,17 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_one(capsys):
-    assert run(capsys, "verify", "--genus", "1", "--degree", "0", "--determinant", "fixed")[0] == 1
+    genus_errors = set()
+    for genus in ("1", "0"):
+        for truncate in ((), ("-N", "10")):
+            code, out, err = run(
+                capsys, "verify", "--genus", genus, "--degree", "1", "--determinant", "fixed",
+                *truncate,
+            )
+            assert (code, out) == (1, "")
+            genus_errors.add(err)
+    assert len(genus_errors) == 1
+    assert genus_errors.pop().endswith("higgsbetti: error: genus must be at least 2\n")
     assert run(capsys, "betti", "--genus", "2", "--degree", "3", "--determinant", "fixed")[0] == 1
     assert run(capsys, "betti", "--genus", "2", "--degree", "0", "--determinant", "free")[0] == 1
     assert run(capsys, "betti", "--genus", "2", "--degree", "0", "--determinant", "fixed",

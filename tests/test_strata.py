@@ -122,10 +122,23 @@ def test_moduli_fixed_degree_one_genus_two_polynomial():
 
 
 def test_moduli_nonfixed_degree_one_finitely_supported():
+    # nilpotent cone times the Jacobian: real dimension 8g-6
     for g in (2, 3):
-        spec = spec_of(g, 1, NONFIXED)
-        series = moduli_series(spec)
-        assert all(c == 0 for c in series.coeffs[12 * g - 12 + 1 :])
+        series = moduli_series(spec_of(g, 1, NONFIXED))
+        top = 8 * g - 6
+        assert series[top] != 0
+        assert all(c == 0 for c in series.coeffs[top + 1 :])
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_moduli_degree_one_euler_characteristic(g):
+    # chi(M) = P_{-1} is the sum over the C*-fixed loci (Hitchin 1987, sec. 7):
+    # fixed determinant, N (chi = 0) and the 2^{2g}-fold covers of S^n M for
+    # odd n <= 2g-3, with chi(S^n M) = (-1)^n C(2g-2, n); non-fixed, 0 from
+    # the Jacobian factor
+    for det, chi in ((FIXED, -(2 ** (4 * g - 3))), (NONFIXED, 0)):
+        series = moduli_series(spec_of(g, 1, det))
+        assert sum((-1) ** k * c for k, c in enumerate(series.coeffs)) == chi
 
 
 def test_stratification_formula_agrees_with_equivariant_route():
