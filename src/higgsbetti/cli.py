@@ -2,7 +2,7 @@
 
 Subcommands: ``betti`` (coefficient table), ``verify`` (cross-route check
 suite), ``strata`` (series of every stratum space).  Exit codes: 0 success,
-1 usage error, 2 verification failure.
+1 usage error, 2 verification failure or internal error.
 """
 
 from __future__ import annotations
@@ -13,10 +13,21 @@ from typing import Sequence
 
 from .report import FORMATS, BettiReport, render
 from .spaces import Determinant, bg_series
-from .strata import ModuliSpec, default_truncation, max_stratum, moduli_series, stratum_space_series
+from .strata import (
+    ModuliSpec,
+    NegativeBettiError,
+    default_truncation,
+    max_stratum,
+    moduli_series,
+    stratum_space_series,
+)
 from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
+
+# the CLI refuses larger inputs before computing anything; the library does not
+MAX_GENUS = 64
+MAX_TRUNCATION = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,11 +77,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _main(argv)
     except SystemExit as exc:  # argparse exits; keep main() returning an int
         return exc.code if isinstance(exc.code, int) else 1
+    except NegativeBettiError as exc:  # a bug, not bad input: no traceback
+        sys.stderr.write(f"higgsbetti: error: {exc}\n")
+        return 2
 
 
 def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.genus > MAX_GENUS:
+        parser.error(f"genus must be at most {MAX_GENUS}")
+    if args.truncate is not None and args.truncate > MAX_TRUNCATION:
+        parser.error(f"truncation must be at most {MAX_TRUNCATION}")
 
     truncation = args.truncate
     if truncation is None:

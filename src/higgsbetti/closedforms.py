@@ -5,14 +5,19 @@ closed-form rational expression.  Inside that expression sits the kernel
 
     K_g(t) = sum_{d=1}^{g-1} t^{2(g+2d-1)} P_t(S^{2g-2d-2} M),
 
-which this module evaluates four independent ways: direct summation, a
-closed form, a signed combination of residues of
+which this module evaluates by direct summation, by bivariate coefficient
+extraction, and through the residue calculus of
 
-    f(x) = (1+xt)^{2g} t^{2g+2} x^{3-2g} / ((1-x)(1-xt^2)^2 (1+xt^2)),
+    f(x) = (1+xt)^{2g} t^{2g+2} x^{3-2g} / ((1-x)(1-xt^2)^2 (1+xt^2)).
 
-and bivariate coefficient extraction.  The binomial identity for the
-anti-invariant extras is checked the same way.  Individual pieces have
-genuinely rational coefficients; only their combinations are integral.
+One table, :func:`_residue_fraction`, holds the four residue pieces as
+rational functions of t.  The residue route expands each piece and combines
+the series; the closed form puts the four pieces over one denominator and
+expands a single rational function.  Both read the same table, so they are
+one route in two arithmetics, not two independent ones.  The binomial
+identity for the anti-invariant extras is checked the same way.  Individual
+pieces have genuinely rational coefficients; only their combinations are
+integral.
 """
 
 from __future__ import annotations
@@ -59,56 +64,50 @@ class ResiduePiece:
     value: TruncSeries
 
 
-def _double_pole_bracket(genus: int) -> tuple[Poly, Poly]:
-    """The inner factor 2g/(t+1) + 1/(t^2-1) - 1/2 + (3-2g) as a single
-    rational expression over the common denominator 2(t+1)^2(t-1).
+def _residue_fraction(genus: int, label: ResidueLabel) -> tuple[Poly, Poly]:
+    """One piece of the residue evaluation as a rational function num/den
+    of t; every denominator has a nonzero constant term.
 
-    One inversion instead of three; same exact result.
+        contour:        -t^{4g-4}
+        x = 1:          -t^{2g+2} (1+t)^{2g} / ((1-t^2)(1-t^4))
+        x = -1/t^2:     -t^{4g-4} (1-t)^{2g} / (4(1+t^2))
+        x = 1/t^2:       t^{4g-4} (1+t)^{2g} / (2(t^2-1)) * bracket
+
+    where bracket = 2g/(t+1) + 1/(t^2-1) - 1/2 + (3-2g), written over its
+    common denominator 2(t+1)(t^2-1).
     """
-    t_plus_1 = Poly([1, 1])
-    num = (
-        _T2_MINUS_1 * (4 * genus)
-        + t_plus_1 * 2
-        + t_plus_1 * _T2_MINUS_1 * (5 - 4 * genus)
-    )
-    den = t_plus_1 * _T2_MINUS_1 * 2
-    return num, den
+    g = genus
+    shift = Poly.monomial(4 * g - 4)
+    if label is ResidueLabel.CONTOUR:
+        return -shift, Poly.one()
+    if label is ResidueLabel.SIMPLE_POLE_X1:
+        num = -Poly.monomial(2 * g + 2) * _ONE_PLUS_T ** (2 * g)
+        return num, _ONE_MINUS_T2 * _ONE_MINUS_T4
+    if label is ResidueLabel.SIMPLE_POLE_X_MINUS_INV_T2:
+        return -shift * _ONE_MINUS_T ** (2 * g), _ONE_PLUS_T2 * 4
+    if label is ResidueLabel.DOUBLE_POLE_X_INV_T2:
+        bracket = (
+            _T2_MINUS_1 * (4 * g)
+            + _ONE_PLUS_T * 2
+            + _ONE_PLUS_T * _T2_MINUS_1 * (5 - 4 * g)
+        )
+        num = shift * _ONE_PLUS_T ** (2 * g) * bracket
+        return num, _ONE_PLUS_T * _T2_MINUS_1 * _T2_MINUS_1 * 4
+    raise ValueError(f"unknown residue label {label!r}")  # pragma: no cover
 
 
 def residue_piece(surface: SurfaceSpec, label: ResidueLabel, order: int) -> ResiduePiece:
-    """One labelled piece, expanded exactly.
-
-    Denominator constant terms are 1, 4 and -2: always invertible.
-    """
-    g = surface.genus
-    g2 = 2 * g
-    if label is ResidueLabel.CONTOUR:
-        # the contour integral around all poles
-        value = Poly.monomial(4 * g - 4, -1).as_series(order)
-    elif label is ResidueLabel.SIMPLE_POLE_X1:
-        num = -Poly.monomial(g2 + 2) * _ONE_PLUS_T ** g2
-        value = expand_rational(num, _ONE_MINUS_T2 * _ONE_MINUS_T4, order)
-    elif label is ResidueLabel.SIMPLE_POLE_X_MINUS_INV_T2:
-        num = -Poly.monomial(4 * g - 4) * _ONE_MINUS_T ** g2
-        value = expand_rational(num, _ONE_PLUS_T2 * 4, order)
-    elif label is ResidueLabel.DOUBLE_POLE_X_INV_T2:
-        bracket_num, bracket_den = _double_pole_bracket(g)
-        num = Poly.monomial(4 * g - 4) * _ONE_PLUS_T ** g2 * bracket_num
-        den = _T2_MINUS_1 * 2 * bracket_den
-        value = expand_rational(num, den, order)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown residue label {label!r}")
-    return ResiduePiece(label, value)
+    """One labelled piece, expanded exactly."""
+    return ResiduePiece(label, expand_rational(*_residue_fraction(surface.genus, label), order))
 
 
 def residue_combination(surface: SurfaceSpec, order: int) -> TruncSeries:
     """The residue at x = 0 of f(x): contour value minus the residues at the
     three finite poles x = 1, x = -1/t^2 and x = 1/t^2."""
-    contour = residue_piece(surface, ResidueLabel.CONTOUR, order).value
-    at_one = residue_piece(surface, ResidueLabel.SIMPLE_POLE_X1, order).value
-    at_minus = residue_piece(surface, ResidueLabel.SIMPLE_POLE_X_MINUS_INV_T2, order).value
-    at_plus = residue_piece(surface, ResidueLabel.DOUBLE_POLE_X_INV_T2, order).value
-    return contour - at_one - at_minus - at_plus
+    contour, *poles = (residue_piece(surface, label, order).value for label in ResidueLabel)
+    for pole in poles:
+        contour = contour - pole
+    return contour
 
 
 def lemma_direct(surface: SurfaceSpec, order: int) -> TruncSeries:
@@ -122,30 +121,16 @@ def lemma_direct(surface: SurfaceSpec, order: int) -> TruncSeries:
 
 
 def lemma_closed(surface: SurfaceSpec, order: int) -> TruncSeries:
-    """The kernel K_g(t) in closed form:
-
-        -t^{4g-4} + t^{2g+2}(1+t)^{2g} / ((1-t^2)(1-t^4))
-                  + (1-t)^{2g} t^{4g-4} / (4(1+t^2))
-                  - (t+1)^{2g} t^{4g-4} / (2(t^2-1)) * [bracket]
-
-    with the double-pole bracket of :func:`_double_pole_bracket`.
-    """
-    g = surface.genus
-    g2 = 2 * g
-    total = Poly.monomial(4 * g - 4, -1).as_series(order)
-    total = total + expand_rational(
-        Poly.monomial(g2 + 2) * _ONE_PLUS_T ** g2, _ONE_MINUS_T2 * _ONE_MINUS_T4, order
-    )
-    total = total + expand_rational(
-        Poly.monomial(4 * g - 4) * _ONE_MINUS_T ** g2, _ONE_PLUS_T2 * 4, order
-    )
-    bracket_num, bracket_den = _double_pole_bracket(g)
-    total = total + expand_rational(
-        -Poly.monomial(4 * g - 4) * _ONE_PLUS_T ** g2 * bracket_num,
-        _T2_MINUS_1 * 2 * bracket_den,
-        order,
-    )
-    return total
+    """The kernel K_g(t) in closed form: the contour piece minus the three
+    pole pieces of :func:`_residue_fraction`, put over one denominator and
+    expanded once."""
+    num, den = Poly(), Poly.one()
+    for label in ResidueLabel:
+        piece_num, piece_den = _residue_fraction(surface.genus, label)
+        if label is not ResidueLabel.CONTOUR:
+            piece_num = -piece_num
+        num, den = num * piece_den + piece_num * den, den * piece_den
+    return expand_rational(num, den, order)
 
 
 def bivariate_route(surface: SurfaceSpec, order: int) -> TruncSeries:

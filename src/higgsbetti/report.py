@@ -50,11 +50,11 @@ def _int_coeffs(series: TruncSeries) -> list[int]:
     return [int(c) for c in series.coeffs]
 
 
-def _coefficient_table(series: TruncSeries, k_header: str = "k") -> str:
+def _coefficient_table(series: TruncSeries) -> str:
     coeffs = _int_coeffs(series)
-    wk = max(len(k_header), len(str(series.order)))
+    wk = len(str(series.order))
     wb = max(len("b_k"), max(len(str(c)) for c in coeffs))
-    lines = [f"{k_header:>{wk}}  {'b_k':>{wb}}"]
+    lines = [f"{'k':>{wk}}  {'b_k':>{wb}}"]
     for k, c in enumerate(coeffs):
         lines.append(f"{k:>{wk}}  {c:>{wb}}")
     return "\n".join(lines) + "\n"

@@ -127,59 +127,45 @@ def max_stratum(spec: ModuliSpec) -> int:
     return d
 
 
-def _has_global_bu1(spec: ModuliSpec) -> bool:
-    """Non-fixed determinant in degree 1: the only stabilizer is the constant
-    central U(1), which contributes a global BU(1) factor that the moduli
-    space divides out."""
-    return spec.determinant is Determinant.NONFIXED and spec.degree == 1
-
-
-def _jacobian_bu1_factor(spec: ModuliSpec, moduli: bool) -> tuple[Poly, Poly]:
+def _jacobian_bu1_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     """One Jacobian and one BU(1) factor, (1+t)^{2g}/(1-t^2), as numerator
-    and denominator; ``moduli`` drops the BU(1) where it is the global one
-    (:func:`_has_global_bu1`)."""
-    bu1 = Poly.one() if moduli and _has_global_bu1(spec) else _ONE_MINUS_T2
-    return _ONE_PLUS_T ** (2 * spec.genus), bu1
+    and denominator."""
+    return _ONE_PLUS_T ** (2 * spec.genus), _ONE_MINUS_T2
 
 
-def _critical_factor(spec: ModuliSpec, moduli: bool) -> tuple[Poly, Poly]:
+def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     """eta_d, the equivariant series of the d-th critical set (the same for
     every d), as numerator and denominator.
 
     Fixed determinant: J_d x BU(1), i.e. (1+t)^{2g}/(1-t^2); non-fixed: two
-    Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2, of which
-    ``moduli`` drops the global BU(1) in degree 1.
+    Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2.
     """
-    num, den = _jacobian_bu1_factor(spec, moduli=False)
+    num, den = _jacobian_bu1_factor(spec)
     if spec.determinant is Determinant.FIXED:
         return num, den
-    other_num, other_den = _jacobian_bu1_factor(spec, moduli)
-    return num * other_num, den * other_den
+    return num * num, den * den
 
 
 @lru_cache(maxsize=None)
 def _factor_series(
-    factor: Callable[[ModuliSpec, bool], tuple[Poly, Poly]], spec: ModuliSpec, moduli: bool
+    factor: Callable[[ModuliSpec], tuple[Poly, Poly]], spec: ModuliSpec
 ) -> TruncSeries:
     # one expansion of each factor per spec, shared by every stratum
-    return expand_rational(*factor(spec, moduli), spec.truncation)
+    return expand_rational(*factor(spec), spec.truncation)
 
 
-def _correction_factor(
-    spec: ModuliSpec, n: int, cover: bool = True, moduli: bool = False
-) -> TruncSeries:
+def _correction_factor(spec: ModuliSpec, n: int, cover: bool = True) -> TruncSeries:
     """T(n), the equivariant series of the subspace responsible for the
     index jump, for n = n_d >= 0.
 
     Fixed determinant: the 2^{2g}-fold cover of S^n M, or S^n M itself
     without ``cover`` (the invariant part); non-fixed: S^n M times a
-    Jacobian and a BU(1) factor, of which ``moduli`` drops the global BU(1)
-    in degree 1.
+    Jacobian and a BU(1) factor.
     """
     if spec.determinant is Determinant.FIXED:
         sym = sym_cover_series if cover else sym_series
         return sym(spec.surface, n, spec.truncation)
-    jacobian_bu1 = _factor_series(_jacobian_bu1_factor, spec, moduli=moduli)
+    jacobian_bu1 = _factor_series(_jacobian_bu1_factor, spec)
     return sym_series(spec.surface, n, spec.truncation) * jacobian_bu1
 
 
@@ -195,19 +181,22 @@ def _shifted_sum(
 
 
 def _morse_recursion(spec: ModuliSpec, cover: bool) -> TruncSeries:
-    # P_t(BG) - sum_d t^{2 mu_d} eta + sum_{d<g} t^{2 mu_d} T(n_d); n_d >= 0
-    # exactly for d <= g-1, the strata where the Morse index jumps
-    eta = _factor_series(_critical_factor, spec, moduli=False)
-    total = bg_series(spec.surface, spec.determinant, spec.truncation)
-    total = total - _shifted_sum(spec, max_stratum(spec), lambda n: eta)
-    return total + _shifted_sum(
-        spec, spec.genus - 1, lambda n: _correction_factor(spec, n, cover)
-    )
+    # P_t(BG) - sum_d t^{2 mu_d} eta + sum_{d<g} t^{2 mu_d} T(n_d)
+    bg = bg_series(spec.surface, spec.determinant, spec.truncation)
+    return bg - unstable_sum(spec) + correction_sum(spec, cover)
 
 
 def _moduli_part(spec: ModuliSpec, series: TruncSeries) -> TruncSeries:
-    # divides out the global BU(1) by multiplying with (1-t^2)
-    if _has_global_bu1(spec):
+    """The moduli-space series of an equivariant one.
+
+    Degree 0 keeps the equivariant series (the semistable locus is singular
+    and that is the meaningful object).  In degree 1 the fixed-determinant
+    gauge group acts with finite stabilizers, so the equivariant and
+    ordinary series coincide; for non-fixed determinant the constant central
+    U(1) contributes a global BU(1) factor 1/(1-t^2), divided out here, the
+    one place, by multiplying with (1-t^2).
+    """
+    if spec.determinant is Determinant.NONFIXED and spec.degree == 1:
         return _ONE_MINUS_T2.as_series(spec.truncation) * series
     return series
 
@@ -220,14 +209,10 @@ def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
 
 
 def unstable_sum(spec: ModuliSpec) -> TruncSeries:
-    """Sum over all strata of t^{2 mu_d} times the unstable factor as it
-    appears in the stratification formula for this variant.
-
-    Fixed determinant (either degree): (1+t)^{2g}/(1-t^2).
-    Non-fixed, degree 0: (1+t)^{4g}/(1-t^2)^2.
-    Non-fixed, degree 1: (1+t)^{4g}/(1-t^2).
-    """
-    eta = _factor_series(_critical_factor, spec, moduli=True)
+    """Sum over all strata of t^{2 mu_d} times the critical factor eta_d:
+    (1+t)^{2g}/(1-t^2) for fixed determinant, (1+t)^{4g}/(1-t^2)^2 for
+    non-fixed (either degree)."""
+    eta = _factor_series(_critical_factor, spec)
     return _shifted_sum(spec, max_stratum(spec), lambda n: eta)
 
 
@@ -235,24 +220,22 @@ def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     """The same sum via geometric resummation.
 
     Consecutive exponents 2 mu_d differ by 4, so the tail resums to
-    factor * t^{2 mu_1} / (1 - t^4).  Cross-check against
-    :func:`unstable_sum`.
+    eta * t^{2 mu_1} / (1 - t^4).  Cross-check against :func:`unstable_sum`.
     """
-    num, den = _critical_factor(spec, moduli=True)
+    num, den = _critical_factor(spec)
     tail = expand_rational(num, den * _ONE_MINUS_T4, spec.truncation)
     return tail.shift(2 * mu_index(spec, 1).mu)
 
 
-def correction_sum(spec: ModuliSpec) -> TruncSeries:
-    """Sum over d = 1..g-1 of t^{2 mu_d} times the correction factor as it
-    appears in the stratification formula for this variant.
+def correction_sum(spec: ModuliSpec, cover: bool = True) -> TruncSeries:
+    """Sum over d = 1..g-1 of t^{2 mu_d} times the correction factor T(n_d).
 
-    Fixed determinant: the covered symmetric product; non-fixed, degree 0:
-    S^n M times (1+t)^{2g}/(1-t^2); non-fixed, degree 1: S^n M times the
-    Jacobian (1+t)^{2g}.
+    n_d >= 0 exactly for these strata, where the Morse index jumps.  Fixed
+    determinant: the covered symmetric product (S^n M itself without
+    ``cover``); non-fixed: S^n M times (1+t)^{2g}/(1-t^2).
     """
     return _shifted_sum(
-        spec, spec.genus - 1, lambda n: _correction_factor(spec, n, moduli=True)
+        spec, spec.genus - 1, lambda n: _correction_factor(spec, n, cover)
     )
 
 
@@ -282,32 +265,23 @@ def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
 
 
 def moduli_series(spec: ModuliSpec) -> TruncSeries:
-    """Poincare series of the moduli space itself.
-
-    Degree 0 reports the equivariant series (the semistable locus is
-    singular and that is the meaningful object).  In degree 1 the
-    fixed-determinant gauge group acts with finite stabilizers, so the
-    equivariant and ordinary series coincide; for non-fixed determinant the
-    constant central U(1) contributes a global BU(1) factor, divided out by
-    multiplying with (1-t^2).
-    """
+    """Poincare series of the moduli space itself: the semistable series
+    with the global BU(1) divided out where there is one
+    (:func:`_moduli_part`)."""
     return _require_betti(_moduli_part(spec, semistable_series(spec)), "moduli series")
 
 
 def stratification_formula(spec: ModuliSpec) -> TruncSeries:
-    """The three-term assembly ``leading - unstable tail + correction_sum``.
+    """The three-term assembly ``P_t(BG) - unstable tail + correction_sum``,
+    taken to the moduli space as in :func:`moduli_series`.
 
-    The leading term is (1-t^2) * P_t(BG) for (non-fixed, degree 1), where
-    the assembly produces the moduli series directly, and P_t(BG) otherwise,
-    where it reproduces :func:`semistable_series`.  The unstable tail is the
-    geometric resummation :func:`unstable_sum_resummed`, so this route and
-    the stratum-by-stratum recursion share the factors but not the infinite
-    sum; the verification suite checks that they agree.
+    The unstable tail is the geometric resummation
+    :func:`unstable_sum_resummed`, so this route and the stratum-by-stratum
+    recursion share the factors but not the infinite sum; the verification
+    suite checks that they agree.
     """
-    leading = _moduli_part(
-        spec, bg_series(spec.surface, spec.determinant, spec.truncation)
-    )
-    return leading - unstable_sum_resummed(spec) + correction_sum(spec)
+    bg = bg_series(spec.surface, spec.determinant, spec.truncation)
+    return _moduli_part(spec, bg - unstable_sum_resummed(spec) + correction_sum(spec))
 
 
 def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
@@ -318,7 +292,7 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
     fails (fixed determinant).
     """
     idx = mu_index(spec, d)
-    term = _factor_series(_critical_factor, spec, moduli=False)
+    term = _factor_series(_critical_factor, spec)
     if idx.n >= 0:
         term = term - _correction_factor(spec, idx.n)
     return term.shift(2 * idx.mu)

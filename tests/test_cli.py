@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from higgsbetti import cli, verify
+from higgsbetti import cli, spaces, strata, verify
 from higgsbetti.series import TruncSeries
 
 
@@ -158,6 +158,28 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "first mismatch at t^0" in out
 
 
+@pytest.mark.parametrize("subcommand", ["betti", "verify", "strata"])
+def test_internal_error_exits_two_without_traceback(capsys, monkeypatch, subcommand):
+    # a non-Betti coefficient is a bug in the program, reported without a traceback
+    def clear_caches():
+        for module in (spaces, strata):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    monkeypatch.setattr(spaces, "anti_invariant_dim", lambda *args: -1000)
+    clear_caches()
+    try:
+        code, out, err = run(
+            capsys, subcommand, "-g", "2", "-d", "0", "--determinant", "fixed"
+        )
+    finally:
+        clear_caches()
+    assert (code, out) == (2, "")
+    assert err == "higgsbetti: error: semistable series: coefficient of t^6 is -992\n"
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     genus_errors = set()
     for genus in ("1", "0"):
@@ -176,6 +198,15 @@ def test_usage_errors_exit_one(capsys):
                "--truncate", "0")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+    # the caps refuse before computing anything
+    code, out, err = run(capsys, "verify", "-g", "65", "-d", "0", "--determinant", "nonfixed")
+    assert (code, out) == (1, "")
+    assert err.endswith("higgsbetti: error: genus must be at most 64\n")
+    code, out, err = run(
+        capsys, "betti", "-g", "2", "-d", "0", "--determinant", "fixed", "-N", "1025"
+    )
+    assert (code, out) == (1, "")
+    assert err.endswith("higgsbetti: error: truncation must be at most 1024\n")
 
 
 def test_strata_last_block_is_classifying_space(capsys):

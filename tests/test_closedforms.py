@@ -60,7 +60,7 @@ def test_lemma_closed_low_coefficients_cancel():
         assert all(series[k] == 0 for k in range(2 * g + 2))
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 8, 16])
 def test_kernel_four_way_agreement(genus):
     surface = SurfaceSpec(genus)
     order = 4 * genus + 12

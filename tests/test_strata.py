@@ -87,6 +87,15 @@ def test_unstable_sum_degree_one_anchor():
     assert unstable_sum(spec_of(2, 1, FIXED, 6))[5] == 4
 
 
+def test_unstable_sum_is_equivariant_in_nonfixed_degree_one():
+    # the sum carries both BU(1) factors, (1+t)^{4g}/(1-t^2)^2; the global
+    # one is divided out only in the moduli series
+    for g in (2, 3, 5):
+        spec = spec_of(g, 1, NONFIXED)
+        first = 2 * mu_index(spec, 1).mu
+        assert unstable_sum(spec)[first + 2] == binomial(4 * g, 2) + 2
+
+
 def test_unstable_sum_matches_geometric_resummation():
     for spec in all_specs(range(2, 5)):
         assert unstable_sum(spec) == unstable_sum_resummed(spec)
