@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 Scalar = Union[int, Fraction]
+_Ring = TypeVar("_Ring", "Poly", "TruncSeries")
 
 __all__ = [
     "BiSeries",
@@ -82,6 +83,38 @@ def first_non_integer(series: TruncSeries, *, nonnegative: bool) -> int | None:
         if c.denominator != 1 or (nonnegative and c < 0):
             return k
     return None
+
+
+def _convolve(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
+    """Coefficients t^0..t^n of the product of two coefficient sequences.
+
+    Only nonzero pairs are visited: the series here are often sparse
+    (even-only, shifted, or polynomials padded with zeros).
+    """
+    b_terms = [(j, bj) for j, bj in enumerate(b[: n + 1]) if bj]
+    out: list[Scalar] = [0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai:
+            room = n - i
+            for j, bj in b_terms:
+                if j > room:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def _power(base: _Ring, k: int, one: _Ring) -> _Ring:
+    """``base ** k`` by square-and-multiply, starting from the unit ``one``."""
+    if k < 0:
+        raise ValueError("powers must be nonnegative")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _fmt(c: Scalar) -> str:
@@ -169,31 +202,13 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        n = len(self.coeffs) + len(other.coeffs) - 2
+        return Poly(_convolve(self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Poly:
-        if k < 0:
-            raise ValueError("polynomial powers must be nonnegative")
-        result = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, Poly.one())
 
     def __repr__(self) -> str:
         return f"Poly([{', '.join(_fmt(c) for c in self.coeffs)}])"
@@ -290,33 +305,12 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        # only nonzero pairs: the series here are often sparse (even-only,
-        # shifted, or polynomials padded with zeros)
-        b_terms = [(j, bj) for j, bj in enumerate(other.coeffs[: n + 1]) if bj]
-        out: list[Scalar] = [0] * (n + 1)
-        for i, ai in enumerate(self.coeffs[: n + 1]):
-            if ai:
-                room = n - i
-                for j, bj in b_terms:
-                    if j > room:
-                        break
-                    out[i + j] += ai * bj
-        return TruncSeries._of(_exact_all(out), n)
+        return TruncSeries._of(_exact_all(_convolve(self.coeffs, other.coeffs, n)), n)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> TruncSeries:
-        if k < 0:
-            raise ValueError("series powers must be nonnegative")
-        result = TruncSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, TruncSeries.one(self.order))
 
     def inv(self) -> TruncSeries:
         """Multiplicative inverse: ``self * self.inv() == 1`` up to the order.

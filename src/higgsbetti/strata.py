@@ -58,8 +58,10 @@ class NegativeBettiError(ArithmeticError):
 
 
 def default_truncation(genus: int, degree: int) -> int:
-    """Default series order: covers every cross-check (in particular the
-    degree-one finite-support window 12g-12) while keeping runs fast."""
+    """Default series order, and the floor of the order every check runs at
+    (``run_checks`` lifts -N to it, so -N only caps the display).  It covers
+    each check: the kernel K_g has degree 6g-6, the first fixed-determinant
+    Kirwan witness sits at 4g-2-d_E, and degree-one support ends at 8g-6."""
     return 6 * genus + 10 if degree == 0 else 12 * genus - 8
 
 

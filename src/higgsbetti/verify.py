@@ -1,9 +1,10 @@
 """Cross-route verification battery.
 
 Every identity the computation rests on, checked coefficientwise at the
-requested truncation.  Failures report the first mismatching coefficient;
-the fixed-determinant Kirwan check is expected to produce violation
-witnesses and is flagged accordingly.
+verification order max(N, default order): the requested truncation N caps
+what is displayed, never what is checked.  Failures report the first
+mismatching coefficient; the fixed-determinant Kirwan check is expected to
+produce violation witnesses and is flagged accordingly.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .series import TruncSeries, first_non_integer
 from .spaces import Determinant, bg_series
 from .strata import (
     ModuliSpec,
+    default_truncation,
     invariant_part_series,
     kirwan_monotonicity_check,
     max_stratum,
     moduli_series,
-    mu_index,
     semistable_series,
     stratification_formula,
     stratum_space_series,
@@ -55,7 +56,11 @@ def _equality_check(name: str, a: TruncSeries, b: TruncSeries, ok_detail: str) -
 
 
 def run_checks(spec: ModuliSpec) -> list[CheckResult]:
-    """Run every applicable cross-check for one moduli problem."""
+    """Run every applicable cross-check for one moduli problem, at the
+    verification order (see :func:`default_truncation`)."""
+    spec = replace(
+        spec, truncation=max(spec.truncation, default_truncation(spec.genus, spec.degree))
+    )
     surface = spec.surface
     order = spec.truncation
     checks: list[CheckResult] = []
@@ -111,8 +116,11 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
 
     moduli = moduli_series(spec)
     bad: list[str] = []
-    for label, series in [("semistable", semistable), ("moduli", moduli)] + [
-        (f"X_{d}", stratum_space_series(spec, d)) for d in range(max_stratum(spec) + 1)
+    for label, series in [
+        ("semistable", semistable),
+        ("moduli", moduli),
+        *((f"X_{d}", stratum_space_series(spec, d)) for d in range(max_stratum(spec) + 1)),
+        ("bg", classifying),
     ]:
         k = first_non_integer(series, nonnegative=True)
         if k is not None:
@@ -131,15 +139,13 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
         # M retracts onto its nilpotent cone (Hitchin), a compact variety of
         # real dimension 6g-6, or 8g-6 with the Jacobian for non-fixed
         # determinant: the top Betti number sits exactly there
-        window = max(order, 12 * spec.genus - 8)
         top = 6 * spec.genus - 6 if spec.determinant is Determinant.FIXED else 8 * spec.genus - 6
-        wide = moduli_series(replace(spec, truncation=window))
-        last = max(k for k, c in enumerate(wide.coeffs) if c)
+        last = max(k for k, c in enumerate(moduli.coeffs) if c)
         checks.append(
             CheckResult(
                 "finite-support",
                 last == top,
-                f"b_{top} != 0 and moduli coefficients vanish for {top} < k <= {window}"
+                f"b_{top} != 0 and moduli coefficients vanish for {top} < k <= {order}"
                 if last == top
                 else f"top nonzero moduli coefficient is b_{last}, expected b_{top}",
             )
@@ -153,8 +159,8 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
             )
         )
 
+    violations = kirwan_monotonicity_check(spec)
     if spec.determinant is Determinant.NONFIXED:
-        violations = kirwan_monotonicity_check(spec)
         checks.append(
             CheckResult(
                 "kirwan-monotonicity",
@@ -166,11 +172,6 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
             )
         )
     else:
-        # the first witness is the anti-invariant class of the d=1 cover, in
-        # degree 2 mu_1 + n_1 = 4g-2-d_E: check at least that far, whatever -N
-        first = mu_index(spec, 1)
-        witness_order = max(order, 2 * first.mu + first.n)
-        violations = kirwan_monotonicity_check(replace(spec, truncation=witness_order))
         witnesses = ", ".join(
             f"(d={v.d}, k={v.k}): {v.b_before} > {v.b_after}" for v in violations[:6]
         )

@@ -133,16 +133,21 @@ def test_verify_reports_expected_violation(capsys):
 @pytest.mark.parametrize("genus", [2, 3, 4])
 @pytest.mark.parametrize("degree", [0, 1])
 def test_verify_fixed_witness_below_the_truncation(capsys, genus, degree):
-    # the first witness sits at k = 2 mu_1 + n_1 = 4g-2-d_E; a smaller -N
-    # must still find it instead of failing the check
+    # -N caps the display only: below the default order every check line is
+    # the one at the default, so the fixed-determinant witness at
+    # k = 2 mu_1 + n_1 = 4g-2-d_E is found whatever -N is
     first = 4 * genus - 2 - degree
-    for order in range(1, first):
-        code, out, _ = run(
-            capsys, "verify", "-g", str(genus), "-d", str(degree), "--determinant", "fixed",
-            "-N", str(order),
-        )
-        assert code == 0, order
-        assert f"witnesses: (d=1, k={first}): " in out
+    default = strata.default_truncation(genus, degree)
+    for determinant in ("fixed", "nonfixed"):
+        argv = ("verify", "-g", str(genus), "-d", str(degree), "--determinant", determinant)
+        default_code, default_out, _ = run(capsys, *argv)
+        assert default_code == 0
+        for order in (1, 2, 3, first - 1, default - 1):
+            code, out, _ = run(capsys, *argv, "-N", str(order))
+            assert code == 0, (determinant, order)
+            assert out.splitlines()[1:] == default_out.splitlines()[1:], (determinant, order)
+            if determinant == "fixed":
+                assert f"witnesses: (d=1, k={first}): " in out
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
@@ -156,6 +161,23 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert code == 2
     assert "FAIL" in out
     assert "first mismatch at t^0" in out
+
+
+def test_space_coefficients_scans_the_classifying_space(monkeypatch):
+    # bg_series is the one space series no NegativeBettiError guards
+    original = verify.bg_series
+
+    def negated_b5(surface, determinant, order):
+        series = original(surface, determinant, order)
+        return TruncSeries([-c if k == 5 else c for k, c in enumerate(series.coeffs)], order)
+
+    monkeypatch.setattr(verify, "bg_series", negated_b5)
+    checks = {
+        c.name: c
+        for c in verify.run_checks(strata.ModuliSpec.default(2, 0, spaces.Determinant.FIXED))
+    }
+    assert not checks["space-coefficients"].passed
+    assert checks["space-coefficients"].detail == "non-Betti coefficients: bg at t^5"
 
 
 @pytest.mark.parametrize("subcommand", ["betti", "verify", "strata"])
