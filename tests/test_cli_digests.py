@@ -23,7 +23,9 @@ DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 def requests():
     """g = 2..4, every degree and determinant, every subcommand and format,
-    and -N at the default, at 3 and at twice the default."""
+    and -N at the default, at 3 and at twice the default; then ``betti`` and
+    ``verify`` at g = 8 and 16, where many strata carry a correction, at the
+    default -N in table format."""
     for genus in (2, 3, 4):
         for degree in (0, 1):
             default = default_truncation(genus, degree)
@@ -36,6 +38,14 @@ def requests():
                         ]
                         for truncate in ((), ("-N", "3"), ("-N", str(2 * default))):
                             yield argv + list(truncate)
+    for genus in (8, 16):
+        for degree in (0, 1):
+            for determinant in ("fixed", "nonfixed"):
+                for subcommand in ("betti", "verify"):
+                    yield [
+                        subcommand, "-g", str(genus), "-d", str(degree),
+                        "--determinant", determinant, "-f", "table",
+                    ]
 
 
 def digest(argv):
