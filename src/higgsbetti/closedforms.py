@@ -22,7 +22,6 @@ integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from .spaces import Determinant, SurfaceSpec, sym_series
 
 __all__ = [
     "ResidueLabel",
-    "ResiduePiece",
     "binomial_extra",
     "bivariate_route",
     "corollary_closed_form",
@@ -56,12 +54,6 @@ class ResidueLabel(Enum):
     SIMPLE_POLE_X1 = "simple-pole-x=1"
     SIMPLE_POLE_X_MINUS_INV_T2 = "simple-pole-x=-1/t^2"
     DOUBLE_POLE_X_INV_T2 = "double-pole-x=1/t^2"
-
-
-@dataclass(frozen=True)
-class ResiduePiece:
-    label: ResidueLabel
-    value: TruncSeries
 
 
 def _residue_fraction(genus: int, label: ResidueLabel) -> tuple[Poly, Poly]:
@@ -96,18 +88,16 @@ def _residue_fraction(genus: int, label: ResidueLabel) -> tuple[Poly, Poly]:
     raise ValueError(f"unknown residue label {label!r}")  # pragma: no cover
 
 
-def residue_piece(surface: SurfaceSpec, label: ResidueLabel, order: int) -> ResiduePiece:
+def residue_piece(surface: SurfaceSpec, label: ResidueLabel, order: int) -> TruncSeries:
     """One labelled piece, expanded exactly."""
-    return ResiduePiece(label, expand_rational(*_residue_fraction(surface.genus, label), order))
+    return expand_rational(*_residue_fraction(surface.genus, label), order)
 
 
 def residue_combination(surface: SurfaceSpec, order: int) -> TruncSeries:
     """The residue at x = 0 of f(x): contour value minus the residues at the
     three finite poles x = 1, x = -1/t^2 and x = 1/t^2."""
-    contour, *poles = (residue_piece(surface, label, order).value for label in ResidueLabel)
-    for pole in poles:
-        contour = contour - pole
-    return contour
+    contour, *poles = (residue_piece(surface, label, order) for label in ResidueLabel)
+    return contour - sum(poles, TruncSeries.zero(order))
 
 
 def lemma_direct(surface: SurfaceSpec, order: int) -> TruncSeries:

@@ -24,6 +24,7 @@ __all__ = [
     "jacobian_series",
     "sym_cover_series",
     "sym_generating",
+    "sym_poly",
     "sym_series",
 ]
 
@@ -84,12 +85,19 @@ def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> Tru
 
 
 @lru_cache(maxsize=None)
-def _sym_poly(genus: int, n: int) -> Poly:
-    # Macdonald (1962): H^*(S^n M) has 2g generators in degree 1 (each usable
-    # at most once) and one generator in degree 2, subject only to total
-    # weight <= n, so
-    #     b_k = sum over a + 2j = k with a + j <= n of C(2g, a).
-    g2 = 2 * genus
+def sym_poly(surface: SurfaceSpec, n: int) -> Poly:
+    """P_t(S^n M) by Macdonald's enumeration of the cohomology generators.
+
+    A palindromic polynomial of degree 2n (the symmetric product is smooth
+    and compact).  Macdonald (1962): H^*(S^n M) has 2g generators in degree
+    1 (each usable at most once) and one generator in degree 2, subject only
+    to total weight <= n, so
+
+        b_k = sum over a + 2j = k with a + j <= n of C(2g, a).
+    """
+    if n < 0:
+        raise ValueError("symmetric-product size must be nonnegative")
+    g2 = 2 * surface.genus
     out = [0] * (2 * n + 1)
     for a in range(min(g2, n) + 1):
         c = binomial(g2, a)
@@ -99,14 +107,8 @@ def _sym_poly(genus: int, n: int) -> Poly:
 
 
 def sym_series(surface: SurfaceSpec, n: int, order: int) -> TruncSeries:
-    """P_t(S^n M) by Macdonald's enumeration of the cohomology generators.
-
-    A palindromic polynomial of degree 2n (the symmetric product is smooth
-    and compact).
-    """
-    if n < 0:
-        raise ValueError("symmetric-product size must be nonnegative")
-    return _sym_poly(surface.genus, n).as_series(order)
+    """:func:`sym_poly` truncated at ``order``."""
+    return sym_poly(surface, n).as_series(order)
 
 
 def sym_generating(surface: SurfaceSpec, n: int) -> TruncSeries:
@@ -130,20 +132,16 @@ def sym_generating(surface: SurfaceSpec, n: int) -> TruncSeries:
     return (num * den.inv()).x_coeff(n)
 
 
-def _check_cover_range(surface: SurfaceSpec, n: int) -> None:
-    if not 0 <= n <= 2 * surface.genus - 2:
-        raise CoverRangeError(
-            f"cover formula needs 0 <= n <= 2g-2 = {2 * surface.genus - 2}, got n = {n}"
-        )
-
-
 def anti_invariant_dim(surface: SurfaceSpec, n: int) -> int:
     """Dimension of the extra (anti-invariant) cohomology of the cover.
 
     The 2^{2g}-fold cover of S^n M adds (2^{2g}-1) * C(2g-2, n) to the Betti
     number in degree n and nothing elsewhere.
     """
-    _check_cover_range(surface, n)
+    if not 0 <= n <= 2 * surface.genus - 2:
+        raise CoverRangeError(
+            f"cover formula needs 0 <= n <= 2g-2 = {2 * surface.genus - 2}, got n = {n}"
+        )
     return (2 ** (2 * surface.genus) - 1) * binomial(2 * surface.genus - 2, n)
 
 

@@ -13,7 +13,7 @@ space, which is the engine's main internal consistency check.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +23,7 @@ from .spaces import (
     SurfaceSpec,
     bg_series,
     sym_cover_series,
+    sym_poly,
     sym_series,
 )
 
@@ -97,10 +98,9 @@ class ModuliSpec:
 
 @dataclass(frozen=True)
 class StratumIndex:
-    """Index data of one stratum: d, its Morse index mu_d, and the
-    symmetric-product size n_d (negative once the correction range is left)."""
+    """Index data of stratum d: its Morse index mu_d and the symmetric-product
+    size n_d (negative once the correction range is left)."""
 
-    d: int
     mu: int
     n: int
 
@@ -110,7 +110,6 @@ def mu_index(spec: ModuliSpec, d: int) -> StratumIndex:
     if d < 1:
         raise ValueError("strata are indexed by d >= 1")
     return StratumIndex(
-        d,
         spec.genus - 1 + 2 * d - spec.degree,
         2 * spec.genus - 2 + spec.degree - 2 * d,
     )
@@ -148,44 +147,40 @@ def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     return num * num, den * den
 
 
-@lru_cache(maxsize=None)
-def _factor_series(
-    factor: Callable[[ModuliSpec], tuple[Poly, Poly]], spec: ModuliSpec
-) -> TruncSeries:
-    # one expansion of each factor per spec, shared by every stratum
-    return expand_rational(*factor(spec), spec.truncation)
-
-
-def _correction_factor(spec: ModuliSpec, n: int, cover: bool = True) -> TruncSeries:
+def _correction_factor(spec: ModuliSpec, n: int) -> TruncSeries:
     """T(n), the equivariant series of the subspace responsible for the
     index jump, for n = n_d >= 0.
 
-    Fixed determinant: the 2^{2g}-fold cover of S^n M, or S^n M itself
-    without ``cover`` (the invariant part); non-fixed: S^n M times a
-    Jacobian and a BU(1) factor.
+    Fixed determinant: the 2^{2g}-fold cover of S^n M; non-fixed: S^n M
+    times a Jacobian and a BU(1) factor, expanded from its exact fraction
+    P_t(S^n M) (1+t)^{2g}/(1-t^2).
     """
     if spec.determinant is Determinant.FIXED:
-        sym = sym_cover_series if cover else sym_series
-        return sym(spec.surface, n, spec.truncation)
-    jacobian_bu1 = _factor_series(_jacobian_bu1_factor, spec)
-    return sym_series(spec.surface, n, spec.truncation) * jacobian_bu1
+        return sym_cover_series(spec.surface, n, spec.truncation)
+    num, den = _jacobian_bu1_factor(spec)
+    return expand_rational(sym_poly(spec.surface, n) * num, den, spec.truncation)
 
 
-def _shifted_sum(
-    spec: ModuliSpec, last: int, term: Callable[[int], TruncSeries]
-) -> TruncSeries:
-    """Sum over d = 1..last of t^{2 mu_d} * term(n_d): the one stratum loop."""
-    total = TruncSeries.zero(spec.truncation)
-    for d in range(1, last + 1):
+@lru_cache(maxsize=None)
+def _stratum_table(
+    spec: ModuliSpec,
+) -> tuple[tuple[StratumIndex, TruncSeries, TruncSeries | None], ...]:
+    """One row per stratum d = 1..max_stratum: its index data,
+    t^{2 mu_d} eta_d and t^{2 mu_d} T(n_d).  The stratum contributes
+    t^{2 mu_d} (eta_d - T(n_d)).
+
+    The T entry is ``None`` once n_d < 0: this is the one place that says
+    which strata carry a correction.  Every sum over the strata reads this
+    table, so each stratum's terms are built once per spec.
+    """
+    eta = expand_rational(*_critical_factor(spec), spec.truncation)
+    rows = []
+    for d in range(1, max_stratum(spec) + 1):
         idx = mu_index(spec, d)
-        total = total + term(idx.n).shift(2 * idx.mu)
-    return total
-
-
-def _morse_recursion(spec: ModuliSpec, cover: bool) -> TruncSeries:
-    # P_t(BG) - sum_d t^{2 mu_d} eta + sum_{d<g} t^{2 mu_d} T(n_d)
-    bg = bg_series(spec.surface, spec.determinant, spec.truncation)
-    return bg - unstable_sum(spec) + correction_sum(spec, cover)
+        shift = 2 * idx.mu
+        correction = _correction_factor(spec, idx.n).shift(shift) if idx.n >= 0 else None
+        rows.append((idx, eta.shift(shift), correction))
+    return tuple(rows)
 
 
 def _moduli_part(spec: ModuliSpec, series: TruncSeries) -> TruncSeries:
@@ -196,10 +191,10 @@ def _moduli_part(spec: ModuliSpec, series: TruncSeries) -> TruncSeries:
     gauge group acts with finite stabilizers, so the equivariant and
     ordinary series coincide; for non-fixed determinant the constant central
     U(1) contributes a global BU(1) factor 1/(1-t^2), divided out here, the
-    one place, by multiplying with (1-t^2).
+    one place, as (1-t^2) S = S - t^2 S.
     """
     if spec.determinant is Determinant.NONFIXED and spec.degree == 1:
-        return _ONE_MINUS_T2.as_series(spec.truncation) * series
+        return series - series.shift(2)
     return series
 
 
@@ -210,12 +205,15 @@ def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
     return series
 
 
+def _total(spec: ModuliSpec, terms: Iterable[TruncSeries]) -> TruncSeries:
+    return sum(terms, TruncSeries.zero(spec.truncation))
+
+
 def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over all strata of t^{2 mu_d} times the critical factor eta_d:
     (1+t)^{2g}/(1-t^2) for fixed determinant, (1+t)^{4g}/(1-t^2)^2 for
     non-fixed (either degree)."""
-    eta = _factor_series(_critical_factor, spec)
-    return _shifted_sum(spec, max_stratum(spec), lambda n: eta)
+    return _total(spec, (eta for _, eta, _ in _stratum_table(spec)))
 
 
 def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
@@ -229,16 +227,14 @@ def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     return tail.shift(2 * mu_index(spec, 1).mu)
 
 
-def correction_sum(spec: ModuliSpec, cover: bool = True) -> TruncSeries:
-    """Sum over d = 1..g-1 of t^{2 mu_d} times the correction factor T(n_d).
+def correction_sum(spec: ModuliSpec) -> TruncSeries:
+    """Sum over the strata with n_d >= 0 (d = 1..g-1, where the Morse index
+    jumps) of t^{2 mu_d} times the correction factor T(n_d).
 
-    n_d >= 0 exactly for these strata, where the Morse index jumps.  Fixed
-    determinant: the covered symmetric product (S^n M itself without
-    ``cover``); non-fixed: S^n M times (1+t)^{2g}/(1-t^2).
+    Fixed determinant: the covered symmetric product; non-fixed: S^n M times
+    (1+t)^{2g}/(1-t^2).
     """
-    return _shifted_sum(
-        spec, spec.genus - 1, lambda n: _correction_factor(spec, n, cover)
-    )
+    return _total(spec, (t for _, _, t in _stratum_table(spec) if t is not None))
 
 
 @lru_cache(maxsize=None)
@@ -250,20 +246,28 @@ def semistable_series(spec: ModuliSpec) -> TruncSeries:
     correction t^{2 mu_d} * T_d for the first g-1 strata, where the Morse
     index jumps.  Coefficients must come out nonnegative integers.
     """
-    return _require_betti(_morse_recursion(spec, cover=True), "semistable series")
+    bg = bg_series(spec.surface, spec.determinant, spec.truncation)
+    return _require_betti(bg - unstable_sum(spec) + correction_sum(spec), "semistable series")
 
 
 def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
     """Semistable series restricted to the invariant part of the cohomology
     under the 2-torsion action (fixed determinant only).
 
-    Same recursion as :func:`semistable_series` with each covered symmetric
-    product replaced by the plain one, dropping the anti-invariant classes.
-    Bounded above by the classifying-space series coefficientwise.
+    The semistable series minus the anti-invariant classes: for each stratum
+    with a correction, t^{2 mu_d} times the cover of S^{n_d} M (the table's T
+    entry) minus S^{n_d} M itself.  Bounded above by the classifying-space
+    series coefficientwise.
     """
     if spec.determinant is not Determinant.FIXED:
         raise ValueError("the invariant-part series is a fixed-determinant object")
-    return _require_betti(_morse_recursion(spec, cover=False), "invariant-part series")
+    plain = (
+        sym_series(spec.surface, idx.n, spec.truncation).shift(2 * idx.mu)
+        for idx, _, t in _stratum_table(spec)
+        if t is not None
+    )
+    anti_invariant = correction_sum(spec) - _total(spec, plain)
+    return _require_betti(semistable_series(spec) - anti_invariant, "invariant-part series")
 
 
 def moduli_series(spec: ModuliSpec) -> TruncSeries:
@@ -293,11 +297,13 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
     n_d < 0.  Coefficients may be negative exactly when Kirwan surjectivity
     fails (fixed determinant).
     """
-    idx = mu_index(spec, d)
-    term = _factor_series(_critical_factor, spec)
-    if idx.n >= 0:
-        term = term - _correction_factor(spec, idx.n)
-    return term.shift(2 * idx.mu)
+    if d < 1:
+        raise ValueError("strata are indexed by d >= 1")
+    table = _stratum_table(spec)
+    if d > len(table):  # 2 mu_d > N: the whole difference lies above t^N
+        return TruncSeries.zero(spec.truncation)
+    _, eta, correction = table[d - 1]
+    return eta if correction is None else eta - correction
 
 
 @lru_cache(maxsize=None)
@@ -307,9 +313,10 @@ def _stratum_spaces(spec: ModuliSpec) -> tuple[TruncSeries, ...]:
     # recursion limit.
     spaces = [semistable_series(spec)]
     for d in range(1, max_stratum(spec) + 1):
-        spaces.append(
-            _require_betti(spaces[-1] + stratum_difference(spec, d), f"stratum space X_{d}")
-        )
+        x = _require_betti(spaces[-1] + stratum_difference(spec, d), f"stratum space X_{d}")
+        # below t^{2 mu_d} X_d is X_{d-1}: share those coefficients, not copies
+        keep = 2 * mu_index(spec, d).mu
+        spaces.append(TruncSeries(spaces[-1].coeffs[:keep] + x.coeffs[keep:], spec.truncation))
     return tuple(spaces)
 
 

@@ -21,7 +21,7 @@ from .closedforms import (
 )
 from .report import CheckResult
 from .series import TruncSeries, first_non_integer
-from .spaces import Determinant, bg_series
+from .spaces import Determinant, bg_series, sym_cover_series, sym_series
 from .strata import (
     ModuliSpec,
     default_truncation,
@@ -46,6 +46,11 @@ def first_mismatch(a: TruncSeries, b: TruncSeries) -> int | None:
         if a.coeffs[k] != b.coeffs[k]:
             return k
     return None
+
+
+def _euler_characteristic(series: TruncSeries) -> int:
+    """The series at t = -1; exact for a polynomial series."""
+    return sum(c if k % 2 == 0 else -c for k, c in enumerate(series.coeffs))
 
 
 def _equality_check(name: str, a: TruncSeries, b: TruncSeries, ok_detail: str) -> CheckResult:
@@ -188,15 +193,8 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
         )
 
     if spec.determinant is Determinant.FIXED:
-        invariant = invariant_part_series(spec)
-        offending = next(
-            (
-                k
-                for k in range(order + 1)
-                if invariant.coeffs[k] > classifying.coeffs[k]
-            ),
-            None,
-        )
+        # both series are integral: BG minus the invariant part goes negative where the bound fails
+        offending = first_non_integer(classifying - invariant_part_series(spec), nonnegative=True)
         checks.append(
             CheckResult(
                 "invariant-part-bound",
@@ -206,15 +204,21 @@ def run_checks(spec: ModuliSpec) -> list[CheckResult]:
                 else f"bound fails at t^{offending}",
             )
         )
+        # a 2^{2g}-sheeted unramified cover multiplies the Euler
+        # characteristic; S^n M and its cover are polynomials of degree 2n
+        failing = [
+            n
+            for n in range(2 * spec.genus - 1)
+            if _euler_characteristic(sym_cover_series(surface, n, 2 * n))
+            != 2 ** (2 * spec.genus) * _euler_characteristic(sym_series(surface, n, 2 * n))
+        ]
         checks.append(
             CheckResult(
                 "cover-correction-note",
-                True,
-                "informational: the cover correction uses (2^(2g)-1)*C(2g-2, n) in "
-                "degree n; a dimension count via the invariant/anti-invariant "
-                "splitting instead gives (2^(2g)-1)*C(2g-1, n), which disagrees. "
-                "The C(2g-2, n) normalization is the one consistent with the "
-                "degree-one b_5 = 34 anchor and is used throughout.",
+                not failing,
+                f"chi(cover of S^n M) = 2^(2g) chi(S^n M) for 0 <= n <= {2 * spec.genus - 2}"
+                if not failing
+                else f"chi(cover of S^{failing[0]} M) != 2^(2g) chi(S^{failing[0]} M)",
             )
         )
 

@@ -23,6 +23,7 @@ from higgsbetti.strata import (
     unstable_sum,
     unstable_sum_resummed,
 )
+from higgsbetti.verify import run_checks
 
 FIXED = Determinant.FIXED
 NONFIXED = Determinant.NONFIXED
@@ -222,6 +223,27 @@ def test_stratum_spaces_are_built_incrementally(det, monkeypatch):
         if d:
             expected = expected + stratum_difference(spec, d)
         assert spaces_x[d] == expected
+
+
+@pytest.mark.parametrize("det", [FIXED, NONFIXED])
+def test_run_checks_builds_each_correction_factor_once(det, monkeypatch):
+    # the stratum table is the only caller: one T(n_d) per stratum with
+    # n_d >= 0, shared by the semistable, invariant, moduli and stratum sums
+    spec = spec_of(5, 1, det)
+    clear_caches()
+    calls = []
+    factor = strata._correction_factor
+
+    def counted(spec, n):
+        calls.append(n)
+        return factor(spec, n)
+
+    monkeypatch.setattr(strata, "_correction_factor", counted)
+    run_checks(spec)
+    monkeypatch.undo()
+    clear_caches()
+    strata_n = [mu_index(spec, d).n for d in range(1, max_stratum(spec) + 1)]
+    assert sorted(calls) == sorted(n for n in strata_n if n >= 0) == [1, 3, 5, 7]
 
 
 def test_stratum_space_coefficients_are_betti_numbers():
