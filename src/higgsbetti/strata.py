@@ -128,10 +128,12 @@ def max_stratum(spec: ModuliSpec) -> int:
     return d
 
 
-def _jacobian_bu1_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
+@lru_cache(maxsize=None)
+def _jacobian_bu1_factor(genus: int) -> tuple[Poly, Poly]:
     """One Jacobian and one BU(1) factor, (1+t)^{2g}/(1-t^2), as numerator
-    and denominator."""
-    return _ONE_PLUS_T ** (2 * spec.genus), _ONE_MINUS_T2
+    and denominator.  Cached: eta and every non-fixed T(n) carry it, and it
+    depends on the genus alone."""
+    return _ONE_PLUS_T ** (2 * genus), _ONE_MINUS_T2
 
 
 def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
@@ -141,7 +143,7 @@ def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     Fixed determinant: J_d x BU(1), i.e. (1+t)^{2g}/(1-t^2); non-fixed: two
     Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2.
     """
-    num, den = _jacobian_bu1_factor(spec)
+    num, den = _jacobian_bu1_factor(spec.genus)
     if spec.determinant is Determinant.FIXED:
         return num, den
     return num * num, den * den
@@ -157,7 +159,7 @@ def _correction_factor(spec: ModuliSpec, n: int) -> TruncSeries:
     """
     if spec.determinant is Determinant.FIXED:
         return sym_cover_series(spec.surface, n, spec.truncation)
-    num, den = _jacobian_bu1_factor(spec)
+    num, den = _jacobian_bu1_factor(spec.genus)
     return expand_rational(sym_poly(spec.surface, n) * num, den, spec.truncation)
 
 

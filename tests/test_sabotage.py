@@ -76,16 +76,42 @@ def mu_2_plus_1(monkeypatch):
     monkeypatch.setattr(strata, "mu_index", sabotaged)
 
 
-def residue_x1_piece_plus_t8(monkeypatch):
+def residue_piece_plus_t8(monkeypatch, piece):
     real = closedforms._residue_fraction
 
     def sabotaged(genus, label):
         num, den = real(genus, label)
-        if label is ResidueLabel.SIMPLE_POLE_X1:
+        if label is piece:
             num = num + Poly.monomial(8) * den
         return num, den
 
     monkeypatch.setattr(closedforms, "_residue_fraction", sabotaged)
+
+
+def residue_contour_plus_t8(monkeypatch):
+    residue_piece_plus_t8(monkeypatch, ResidueLabel.CONTOUR)
+
+
+def residue_x1_piece_plus_t8(monkeypatch):
+    residue_piece_plus_t8(monkeypatch, ResidueLabel.SIMPLE_POLE_X1)
+
+
+def residue_x_minus_inv_t2_piece_plus_t8(monkeypatch):
+    residue_piece_plus_t8(monkeypatch, ResidueLabel.SIMPLE_POLE_X_MINUS_INV_T2)
+
+
+def residue_x_inv_t2_piece_plus_t8(monkeypatch):
+    residue_piece_plus_t8(monkeypatch, ResidueLabel.DOUBLE_POLE_X_INV_T2)
+
+
+def bg_seen_by_verify_plus_t7(monkeypatch):
+    real = verify.bg_series
+    monkeypatch.setattr(
+        verify,
+        "bg_series",
+        lambda surface, det, order: real(surface, det, order)
+        + Poly.monomial(7).as_series(order),
+    )
 
 
 def anti_invariant_dim_plus_1(monkeypatch):
@@ -103,6 +129,26 @@ def eta_plus_t9(monkeypatch):
     monkeypatch.setattr(strata, "_critical_factor", sabotaged)
 
 
+def jacobian_bu1_factor_plus_t9(monkeypatch):
+    real = strata._jacobian_bu1_factor
+
+    def sabotaged(genus):
+        num, den = real(genus)
+        return num + Poly.monomial(9) * den, den
+
+    monkeypatch.setattr(strata, "_jacobian_bu1_factor", sabotaged)
+
+
+def binomial_extra_plus_t9(monkeypatch):
+    real = closedforms.binomial_extra
+
+    def sabotaged(surface, route, order):
+        return real(surface, route, order) + Poly.monomial(9).as_series(order)
+
+    for module in (closedforms, verify):
+        monkeypatch.setattr(module, "binomial_extra", sabotaged)
+
+
 def correction_plus_t_n_plus_1(monkeypatch):
     real = strata._correction_factor
     monkeypatch.setattr(
@@ -116,7 +162,15 @@ def correction_plus_t_n_plus_1(monkeypatch):
 @pytest.mark.parametrize("degree", DEGREES)
 @pytest.mark.parametrize(
     "sabotage",
-    [sym_poly_plus_t, bg_seen_by_strata_plus_t7, mu_2_plus_1, residue_x1_piece_plus_t8],
+    [
+        sym_poly_plus_t,
+        bg_seen_by_strata_plus_t7,
+        mu_2_plus_1,
+        residue_contour_plus_t8,
+        residue_x1_piece_plus_t8,
+        residue_x_minus_inv_t2_piece_plus_t8,
+        residue_x_inv_t2_piece_plus_t8,
+    ],
 )
 def test_block_used_by_every_variant_is_caught(sabotage, degree, determinant, monkeypatch):
     sabotage(monkeypatch)
@@ -142,6 +196,45 @@ def test_eta_surfaces_as_an_internal_error_in_degree_one(determinant, monkeypatc
     code, out, err = run_verify(1, determinant)
     assert (code, out) == (2, "")
     assert err.startswith("higgsbetti: error:")
+
+
+@pytest.mark.parametrize("determinant", DETERMINANTS)
+@pytest.mark.parametrize("degree", DEGREES)
+def test_bg_seen_by_verify_fails_telescoping(degree, determinant, monkeypatch):
+    bg_seen_by_verify_plus_t7(monkeypatch)
+    code, out, _ = run_verify(degree, determinant)
+    assert code == 2
+    assert ["FAIL", "telescoping"] in [line.split()[:2] for line in out.splitlines()], out
+
+
+@pytest.mark.parametrize("determinant", DETERMINANTS)
+def test_jacobian_bu1_factor_is_caught_in_degree_zero(determinant, monkeypatch):
+    jacobian_bu1_factor_plus_t9(monkeypatch)
+    assert_fail_line(0, determinant)
+
+
+@pytest.mark.parametrize("determinant", DETERMINANTS)
+def test_jacobian_bu1_factor_surfaces_as_an_internal_error_in_degree_one(
+    determinant, monkeypatch
+):
+    jacobian_bu1_factor_plus_t9(monkeypatch)
+    code, out, err = run_verify(1, determinant)
+    assert (code, out) == (2, "")
+    assert err.startswith("higgsbetti: error:")
+
+
+@pytest.mark.parametrize("determinant", DETERMINANTS)
+@pytest.mark.parametrize("degree", DEGREES)
+def test_binomial_extra_is_caught_where_a_route_uses_it(degree, determinant, monkeypatch):
+    binomial_extra_plus_t9(monkeypatch)
+    if (degree, determinant) == (0, "fixed"):
+        assert_fail_line(degree, determinant)
+    else:
+        # only the degree-0 fixed closed form adds the extras; elsewhere the
+        # one check that reads them compares its two routes, which shift
+        # alike, so the perturbation cannot show
+        code, out, _ = run_verify(degree, determinant)
+        assert code == 0, out
 
 
 @pytest.mark.parametrize("determinant", DETERMINANTS)

@@ -4,7 +4,7 @@ telescoping, and the Kirwan monotonicity shadows."""
 import pytest
 
 from higgsbetti import spaces, strata
-from higgsbetti.series import TruncSeries, binomial
+from higgsbetti.series import Poly, TruncSeries, binomial
 from higgsbetti.spaces import Determinant, bg_series
 from higgsbetti.strata import (
     KirwanViolation,
@@ -244,6 +244,25 @@ def test_run_checks_builds_each_correction_factor_once(det, monkeypatch):
     clear_caches()
     strata_n = [mu_index(spec, d).n for d in range(1, max_stratum(spec) + 1)]
     assert sorted(calls) == sorted(n for n in strata_n if n >= 0) == [1, 3, 5, 7]
+
+
+def test_run_checks_builds_the_jacobian_factor_once(monkeypatch):
+    # (1+t)^{2g} depends on g alone; eta and every non-fixed T(n) share it
+    builds = []
+
+    class CountedPoly(Poly):
+        __slots__ = ()
+
+        def __pow__(self, k):
+            builds.append(k)
+            return super().__pow__(k)
+
+    clear_caches()
+    monkeypatch.setattr(strata, "_ONE_PLUS_T", CountedPoly([1, 1]))
+    run_checks(spec_of(5, 1, NONFIXED))
+    monkeypatch.undo()
+    clear_caches()
+    assert builds == [10]
 
 
 def test_stratum_space_coefficients_are_betti_numbers():
