@@ -25,7 +25,9 @@ def requests():
     """g = 2..4, every degree and determinant, every subcommand and format,
     and -N at the default, at 3 and at twice the default; then ``betti`` and
     ``verify`` at g = 8 and 16, where many strata carry a correction, at the
-    default -N in table format."""
+    default -N in table format; then long orders of ``betti`` in table
+    format: -N at six times the default (capped at 1024) for g = 2..4, and
+    -N 1024 at g = 64."""
     for genus in (2, 3, 4):
         for degree in (0, 1):
             default = default_truncation(genus, degree)
@@ -46,6 +48,14 @@ def requests():
                         subcommand, "-g", str(genus), "-d", str(degree),
                         "--determinant", determinant, "-f", "table",
                     ]
+    for genus in (2, 3, 4, 64):
+        for degree in (0, 1):
+            order = 1024 if genus == 64 else min(6 * default_truncation(genus, degree), 1024)
+            for determinant in ("fixed", "nonfixed"):
+                yield [
+                    "betti", "-g", str(genus), "-d", str(degree),
+                    "--determinant", determinant, "-f", "table", "-N", str(order),
+                ]
 
 
 def digest(argv):
