@@ -210,6 +210,12 @@ class Poly:
     def __pow__(self, k: int) -> Poly:
         return _power(self, k, Poly.one())
 
+    def shift(self, m: int) -> Poly:
+        """Multiply by t^m."""
+        if m < 0:
+            raise ValueError("shift must be nonnegative")
+        return Poly([0] * m + list(self.coeffs))
+
     def __repr__(self) -> str:
         return f"Poly([{', '.join(_fmt(c) for c in self.coeffs)}])"
 
@@ -357,6 +363,7 @@ def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
     if d0 == 0:
         raise ZeroConstantTermError("denominator vanishes at t = 0")
     terms = [(j, dj) for j, dj in enumerate(den.coeffs[1 : order + 1], 1) if dj]
+    unit = d0 == 1  # true of every (1 - t^k) product: an int needs no division then
     a = num.coeffs
     out: list[Scalar] = []
     for k in range(order + 1):
@@ -365,7 +372,7 @@ def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
             if j > k:
                 break
             acc -= dj * out[k - j]
-        out.append(_div(acc, d0))
+        out.append(acc if unit and type(acc) is int else _div(acc, d0))
     return TruncSeries._of(out, order)
 
 

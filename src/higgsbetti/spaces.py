@@ -22,6 +22,7 @@ __all__ = [
     "bg_series",
     "bu1_series",
     "jacobian_series",
+    "sym_cover_poly",
     "sym_cover_series",
     "sym_generating",
     "sym_poly",
@@ -145,10 +146,17 @@ def anti_invariant_dim(surface: SurfaceSpec, n: int) -> int:
     return (2 ** (2 * surface.genus) - 1) * binomial(2 * surface.genus - 2, n)
 
 
-def sym_cover_series(surface: SurfaceSpec, n: int, order: int) -> TruncSeries:
+def sym_cover_poly(surface: SurfaceSpec, n: int) -> Poly:
     """P_t of the 2^{2g}-fold cover of S^n M.
 
-    The base series plus the anti-invariant part concentrated in degree n.
+    :func:`sym_poly` plus the anti-invariant part, concentrated in degree n.
     """
     extra = anti_invariant_dim(surface, n)
-    return sym_series(surface, n, order) + Poly.monomial(n, extra).as_series(order)
+    coeffs = list(sym_poly(surface, n).coeffs)
+    coeffs[n] += extra
+    return Poly(coeffs)
+
+
+def sym_cover_series(surface: SurfaceSpec, n: int, order: int) -> TruncSeries:
+    """:func:`sym_cover_poly` truncated at ``order``."""
+    return sym_cover_poly(surface, n).as_series(order)

@@ -9,10 +9,15 @@ stratum's contribution from the classifying-space series and adding the
 corrections back yields the equivariant series of the semistable locus;
 summing the per-stratum differences telescopes back to the classifying
 space, which is the engine's main internal consistency check.
+
+The displayed series is assembled from three fractions over Z[t], each
+expanded once; the stratum table, one expanded series per stratum, serves
+the stratum-by-stratum route, the stratum spaces and the checks.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,9 +27,8 @@ from .spaces import (
     Determinant,
     SurfaceSpec,
     bg_series,
-    sym_cover_series,
+    sym_cover_poly,
     sym_poly,
-    sym_series,
 )
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "unstable_sum_resummed",
 ]
 
+_ONE = Poly.one()
 _ONE_PLUS_T = Poly([1, 1])
 _ONE_MINUS_T2 = Poly([1, 0, -1])
 _ONE_MINUS_T4 = Poly([1, 0, 0, 0, -1])
@@ -149,18 +154,32 @@ def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     return num * num, den * den
 
 
-def _correction_factor(spec: ModuliSpec, n: int) -> TruncSeries:
+def _correction_factor(spec: ModuliSpec, n: int) -> tuple[Poly, Poly]:
     """T(n), the equivariant series of the subspace responsible for the
-    index jump, for n = n_d >= 0.
+    index jump, for n = n_d >= 0, as numerator and denominator.
 
-    Fixed determinant: the 2^{2g}-fold cover of S^n M; non-fixed: S^n M
-    times a Jacobian and a BU(1) factor, expanded from its exact fraction
-    P_t(S^n M) (1+t)^{2g}/(1-t^2).
+    Fixed determinant: the 2^{2g}-fold cover of S^n M, over 1; non-fixed:
+    S^n M times a Jacobian and a BU(1) factor, P_t(S^n M) (1+t)^{2g} over
+    1-t^2.  Either way the denominator is the same for every n.
     """
     if spec.determinant is Determinant.FIXED:
-        return sym_cover_series(spec.surface, n, spec.truncation)
+        return sym_cover_poly(spec.surface, n), _ONE
     num, den = _jacobian_bu1_factor(spec.genus)
-    return expand_rational(sym_poly(spec.surface, n) * num, den, spec.truncation)
+    return sym_poly(spec.surface, n) * num, den
+
+
+@lru_cache(maxsize=None)
+def _corrections(spec: ModuliSpec) -> tuple[tuple[StratumIndex, Poly, Poly], ...]:
+    """Index data and T(n_d) as numerator and denominator, for every stratum
+    d = 1..max_stratum with n_d >= 0.
+
+    This is the one place that says which strata carry a correction.  n_d
+    falls with d, so they are the first ``len`` strata.  Both the display
+    route (:func:`correction_sum`) and the stratum table read it, so each
+    T(n_d) is built once per spec.
+    """
+    indices = (mu_index(spec, d) for d in range(1, max_stratum(spec) + 1))
+    return tuple((idx, *_correction_factor(spec, idx.n)) for idx in indices if idx.n >= 0)
 
 
 @lru_cache(maxsize=None)
@@ -168,19 +187,23 @@ def _stratum_table(
     spec: ModuliSpec,
 ) -> tuple[tuple[StratumIndex, TruncSeries, TruncSeries | None], ...]:
     """One row per stratum d = 1..max_stratum: its index data,
-    t^{2 mu_d} eta_d and t^{2 mu_d} T(n_d).  The stratum contributes
-    t^{2 mu_d} (eta_d - T(n_d)).
+    t^{2 mu_d} eta_d and t^{2 mu_d} T(n_d), each expanded at the truncation
+    order.  The stratum contributes t^{2 mu_d} (eta_d - T(n_d)).
 
-    The T entry is ``None`` once n_d < 0: this is the one place that says
-    which strata carry a correction.  Every sum over the strata reads this
-    table, so each stratum's terms are built once per spec.
+    The T entry is ``None`` for the strata :func:`_corrections` leaves out.
+    The stratum-by-stratum sums, the stratum differences and the stratum
+    spaces read this table; the displayed series does not need it.
     """
     eta = expand_rational(*_critical_factor(spec), spec.truncation)
+    corrections = _corrections(spec)
     rows = []
     for d in range(1, max_stratum(spec) + 1):
         idx = mu_index(spec, d)
         shift = 2 * idx.mu
-        correction = _correction_factor(spec, idx.n).shift(shift) if idx.n >= 0 else None
+        correction = None
+        if d <= len(corrections):
+            _, num, den = corrections[d - 1]
+            correction = expand_rational(num, den, spec.truncation).shift(shift)
         rows.append((idx, eta.shift(shift), correction))
     return tuple(rows)
 
@@ -207,22 +230,35 @@ def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
     return series
 
 
-def _total(spec: ModuliSpec, terms: Iterable[TruncSeries]) -> TruncSeries:
-    return sum(terms, TruncSeries.zero(spec.truncation))
+def _total(spec: ModuliSpec, rows: Iterable[tuple[int, TruncSeries]]) -> TruncSeries:
+    """Sum of integral series, each given with a shift below which it
+    vanishes.  The rows accumulate into one list, each from its shift
+    onward, so the prefix a row leaves unchanged is neither copied nor
+    re-normalised."""
+    out: list[int] = [0] * (spec.truncation + 1)
+    for shift, series in rows:
+        out[shift:] = map(operator.add, out[shift:], series.coeffs[shift:])
+    return TruncSeries._of(out, spec.truncation)
+
+
+def _shifted_sum(terms: Iterable[tuple[int, Poly]]) -> Poly:
+    """The polynomial sum of t^shift p over the (shift, p) terms."""
+    return sum((p.shift(shift) for shift, p in terms), Poly())
 
 
 def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over all strata of t^{2 mu_d} times the critical factor eta_d:
     (1+t)^{2g}/(1-t^2) for fixed determinant, (1+t)^{4g}/(1-t^2)^2 for
-    non-fixed (either degree)."""
-    return _total(spec, (eta for _, eta, _ in _stratum_table(spec)))
+    non-fixed (either degree), stratum by stratum from the table."""
+    return _total(spec, ((2 * idx.mu, eta) for idx, eta, _ in _stratum_table(spec)))
 
 
 def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     """The same sum via geometric resummation.
 
     Consecutive exponents 2 mu_d differ by 4, so the tail resums to
-    eta * t^{2 mu_1} / (1 - t^4).  Cross-check against :func:`unstable_sum`.
+    eta * t^{2 mu_1} / (1 - t^4), one expansion.  Cross-check against
+    :func:`unstable_sum`.
     """
     num, den = _critical_factor(spec)
     tail = expand_rational(num, den * _ONE_MINUS_T4, spec.truncation)
@@ -233,10 +269,14 @@ def correction_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over the strata with n_d >= 0 (d = 1..g-1, where the Morse index
     jumps) of t^{2 mu_d} times the correction factor T(n_d).
 
-    Fixed determinant: the covered symmetric product; non-fixed: S^n M times
-    (1+t)^{2g}/(1-t^2).
+    One fraction: the shifted numerators summed over the denominator the
+    T(n) share, expanded once.
     """
-    return _total(spec, (t for _, _, t in _stratum_table(spec) if t is not None))
+    corrections = _corrections(spec)
+    if not corrections:
+        return TruncSeries.zero(spec.truncation)
+    num = _shifted_sum((2 * idx.mu, num) for idx, num, _ in corrections)
+    return expand_rational(num, corrections[0][2], spec.truncation)
 
 
 @lru_cache(maxsize=None)
@@ -246,10 +286,14 @@ def semistable_series(spec: ModuliSpec) -> TruncSeries:
     Morse recursion: start from the classifying-space series, remove every
     stratum's normal contribution t^{2 mu_d} * eta_d, and add back the
     correction t^{2 mu_d} * T_d for the first g-1 strata, where the Morse
-    index jumps.  Coefficients must come out nonnegative integers.
+    index jumps.  Each of the three terms is a fraction expanded once (the
+    unstable tail resummed), so no per-stratum series is built.
+    Coefficients must come out nonnegative integers.
     """
     bg = bg_series(spec.surface, spec.determinant, spec.truncation)
-    return _require_betti(bg - unstable_sum(spec) + correction_sum(spec), "semistable series")
+    return _require_betti(
+        bg - unstable_sum_resummed(spec) + correction_sum(spec), "semistable series"
+    )
 
 
 def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
@@ -257,19 +301,20 @@ def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
     under the 2-torsion action (fixed determinant only).
 
     The semistable series minus the anti-invariant classes: for each stratum
-    with a correction, t^{2 mu_d} times the cover of S^{n_d} M (the table's T
-    entry) minus S^{n_d} M itself.  Bounded above by the classifying-space
-    series coefficientwise.
+    with a correction, t^{2 mu_d} times the cover of S^{n_d} M (T(n_d), a
+    polynomial for fixed determinant) minus S^{n_d} M itself.  Bounded above
+    by the classifying-space series coefficientwise.
     """
     if spec.determinant is not Determinant.FIXED:
         raise ValueError("the invariant-part series is a fixed-determinant object")
-    plain = (
-        sym_series(spec.surface, idx.n, spec.truncation).shift(2 * idx.mu)
-        for idx, _, t in _stratum_table(spec)
-        if t is not None
+    anti_invariant = _shifted_sum(
+        (2 * idx.mu, cover - sym_poly(spec.surface, idx.n))
+        for idx, cover, _ in _corrections(spec)
     )
-    anti_invariant = correction_sum(spec) - _total(spec, plain)
-    return _require_betti(semistable_series(spec) - anti_invariant, "invariant-part series")
+    return _require_betti(
+        semistable_series(spec) - anti_invariant.as_series(spec.truncation),
+        "invariant-part series",
+    )
 
 
 def moduli_series(spec: ModuliSpec) -> TruncSeries:
@@ -280,16 +325,18 @@ def moduli_series(spec: ModuliSpec) -> TruncSeries:
 
 
 def stratification_formula(spec: ModuliSpec) -> TruncSeries:
-    """The three-term assembly ``P_t(BG) - unstable tail + correction_sum``,
-    taken to the moduli space as in :func:`moduli_series`.
+    """The stratum-by-stratum assembly: ``P_t(BG)`` minus every table row's
+    t^{2 mu_d} eta_d plus every row's t^{2 mu_d} T(n_d), taken to the moduli
+    space as in :func:`moduli_series`.
 
-    The unstable tail is the geometric resummation
-    :func:`unstable_sum_resummed`, so this route and the stratum-by-stratum
-    recursion share the factors but not the infinite sum; the verification
-    suite checks that they agree.
+    It reads only the stratum table, so it shares the factors with
+    :func:`semistable_series` but not the resummed tail or the correction
+    fraction; the verification suite checks that they agree.
     """
     bg = bg_series(spec.surface, spec.determinant, spec.truncation)
-    return _moduli_part(spec, bg - unstable_sum_resummed(spec) + correction_sum(spec))
+    table = _stratum_table(spec)
+    corrections = _total(spec, ((2 * idx.mu, t) for idx, _, t in table if t is not None))
+    return _moduli_part(spec, bg - unstable_sum(spec) + corrections)
 
 
 def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
@@ -315,10 +362,12 @@ def _stratum_spaces(spec: ModuliSpec) -> tuple[TruncSeries, ...]:
     # recursion limit.
     spaces = [semistable_series(spec)]
     for d in range(1, max_stratum(spec) + 1):
-        x = _require_betti(spaces[-1] + stratum_difference(spec, d), f"stratum space X_{d}")
         # below t^{2 mu_d} X_d is X_{d-1}: share those coefficients, not copies
         keep = 2 * mu_index(spec, d).mu
-        spaces.append(TruncSeries(spaces[-1].coeffs[:keep] + x.coeffs[keep:], spec.truncation))
+        before = spaces[-1].coeffs
+        above = map(operator.add, before[keep:], stratum_difference(spec, d).coeffs[keep:])
+        x = TruncSeries._of(before[:keep] + tuple(above), spec.truncation)
+        spaces.append(_require_betti(x, f"stratum space X_{d}"))
     return tuple(spaces)
 
 

@@ -84,6 +84,8 @@ def test_shift():
     a = TruncSeries([1, 2, 3], 5)
     assert a.shift(0) == a
     assert TruncSeries.one(4).shift(5).is_zero
+    assert Poly([1, 2]).shift(3) == Poly([0, 0, 0, 1, 2]) == Poly.monomial(3) * Poly([1, 2])
+    assert Poly().shift(3) == Poly()
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def all_specs(genus_range):
                 yield ModuliSpec.default(g, degree, det)
 
 
+def clear_caches():
+    for module in (spaces, strata):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ModuliSpec(1, 0, FIXED, 10)
@@ -152,11 +159,18 @@ def test_moduli_degree_one_euler_characteristic(g):
 
 
 def test_stratification_formula_agrees_with_equivariant_route():
-    for spec in all_specs(range(2, 5)):
-        if spec.degree == 1 and spec.determinant is NONFIXED:
-            assert stratification_formula(spec) == moduli_series(spec)
-        else:
-            assert stratification_formula(spec) == semistable_series(spec)
+    # the stratum-by-stratum table route against the displayed fractions,
+    # exactly, from orders below the first stratum up to the CLI cap
+    for g in (2, 3, 4, 5, 16, 32):
+        for order in (1, 3, None, 1024):
+            for degree in (0, 1):
+                for det in Determinant:
+                    spec = spec_of(g, degree, det, order)
+                    clear_caches()
+                    assert stratification_formula(spec) == moduli_series(spec), spec
+                    if (degree, det) != (1, NONFIXED):
+                        assert moduli_series(spec) == semistable_series(spec)
+    clear_caches()
 
 
 def test_stratum_difference_genus_two():
@@ -191,13 +205,6 @@ def test_stratum_space_convention_and_stabilization():
         )
 
 
-def clear_caches():
-    for module in (spaces, strata):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 @pytest.mark.parametrize("det", [FIXED, NONFIXED])
 def test_stratum_spaces_are_built_incrementally(det, monkeypatch):
     spec = spec_of(5, 1, det)
@@ -227,8 +234,8 @@ def test_stratum_spaces_are_built_incrementally(det, monkeypatch):
 
 @pytest.mark.parametrize("det", [FIXED, NONFIXED])
 def test_run_checks_builds_each_correction_factor_once(det, monkeypatch):
-    # the stratum table is the only caller: one T(n_d) per stratum with
-    # n_d >= 0, shared by the semistable, invariant, moduli and stratum sums
+    # the cached correction list is the only caller: one T(n_d) per stratum
+    # with n_d >= 0, shared by the correction fraction and the stratum table
     spec = spec_of(5, 1, det)
     clear_caches()
     calls = []
@@ -263,6 +270,30 @@ def test_run_checks_builds_the_jacobian_factor_once(monkeypatch):
     monkeypatch.undo()
     clear_caches()
     assert builds == [10]
+
+
+@pytest.mark.parametrize("genus, order", [(3, 200), (16, 1024)])
+def test_moduli_series_expands_a_few_fractions_and_builds_no_stratum_table(
+    genus, order, monkeypatch
+):
+    # the displayed series is P_t(BG) - resummed tail + correction fraction:
+    # a fixed number of expansions whatever the order, no per-stratum series
+    calls = []
+    expand = strata.expand_rational
+
+    def counted(num, den, order):
+        calls.append(order)
+        return expand(num, den, order)
+
+    monkeypatch.setattr(strata, "expand_rational", counted)
+    for degree in (0, 1):
+        for det in Determinant:
+            clear_caches()
+            calls.clear()
+            moduli_series(spec_of(genus, degree, det, order))
+            assert strata._stratum_table.cache_info().misses == 0
+            assert len(calls) <= 3
+    clear_caches()
 
 
 def test_stratum_space_coefficients_are_betti_numbers():
