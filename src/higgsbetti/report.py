@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import TruncSeries, first_non_integer
 from .strata import ModuliSpec
@@ -21,15 +21,13 @@ __all__ = ["BettiReport", "CheckResult", "render"]
 FORMATS = ("table", "json", "csv")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(NamedTuple):
     """A computed coefficient table plus the outcome of any cross-checks.
 
     ``strata`` holds labelled rows for stratum dumps; the classifying-space

@@ -8,9 +8,9 @@ are nonnegative integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .series import BiSeries, Poly, TruncSeries, binomial, expand_rational
 
@@ -41,18 +41,23 @@ class CoverRangeError(ValueError):
     """Covered symmetric products are only used for 0 <= n <= 2g-2."""
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class _SurfaceFields(NamedTuple):
+    genus: int
+
+
+class SurfaceSpec(_SurfaceFields):
     """A compact Riemann surface of genus g >= 2.
 
     The lower bound keeps the correction sums over d = 1..g-1 nonempty.
+    ``_replace`` and ``_make`` skip the check, so nothing calls them.
     """
 
-    genus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus < 2:
+    def __new__(cls, genus: int) -> SurfaceSpec:
+        if genus < 2:
             raise ValueError("genus must be at least 2")
+        return super().__new__(cls, genus)
 
 
 def jacobian_series(surface: SurfaceSpec, order: int) -> TruncSeries:

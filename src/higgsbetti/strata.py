@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .series import Poly, TruncSeries, expand_rational, first_non_integer
 from .spaces import (
@@ -71,26 +71,33 @@ def default_truncation(genus: int, degree: int) -> int:
     return 6 * genus + 10 if degree == 0 else 12 * genus - 8
 
 
-@dataclass(frozen=True)
-class ModuliSpec:
-    """Which moduli problem to compute.
-
-    genus g >= 2, bundle degree d_E in {0, 1}, determinant variant, and the
-    truncation order for all series.
-    """
-
+class _ModuliFields(NamedTuple):
     genus: int
     degree: int
     determinant: Determinant
     truncation: int
 
-    def __post_init__(self) -> None:
-        if self.genus < 2:
+
+class ModuliSpec(_ModuliFields):
+    """Which moduli problem to compute.
+
+    genus g >= 2, bundle degree d_E in {0, 1}, determinant variant, and the
+    truncation order for all series.  ``_replace`` and ``_make`` skip the
+    checks, so nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, genus: int, degree: int, determinant: Determinant, truncation: int
+    ) -> ModuliSpec:
+        if genus < 2:
             raise ValueError("genus must be at least 2")
-        if self.degree not in (0, 1):
+        if degree not in (0, 1):
             raise ValueError("degree must be 0 or 1")
-        if self.truncation < 1:
+        if truncation < 1:
             raise ValueError("truncation must be at least 1")
+        return super().__new__(cls, genus, degree, determinant, truncation)
 
     @classmethod
     def default(cls, genus: int, degree: int, determinant: Determinant) -> ModuliSpec:
@@ -101,8 +108,7 @@ class ModuliSpec:
         return SurfaceSpec(self.genus)
 
 
-@dataclass(frozen=True)
-class StratumIndex:
+class StratumIndex(NamedTuple):
     """Index data of stratum d: its Morse index mu_d and the symmetric-product
     size n_d (negative once the correction range is left)."""
 
@@ -187,8 +193,9 @@ def _stratum_table(
     spec: ModuliSpec,
 ) -> tuple[tuple[StratumIndex, TruncSeries, TruncSeries | None], ...]:
     """One row per stratum d = 1..max_stratum: its index data,
-    t^{2 mu_d} eta_d and t^{2 mu_d} T(n_d), each expanded at the truncation
-    order.  The stratum contributes t^{2 mu_d} (eta_d - T(n_d)).
+    t^{2 mu_d} eta_d and t^{2 mu_d} T(n_d), each to the truncation order
+    (T(n_d) expanded only up to N - 2 mu_d, the part the shift keeps).
+    The stratum contributes t^{2 mu_d} (eta_d - T(n_d)).
 
     The T entry is ``None`` for the strata :func:`_corrections` leaves out.
     The stratum-by-stratum sums, the stratum differences and the stratum
@@ -203,7 +210,8 @@ def _stratum_table(
         correction = None
         if d <= len(corrections):
             _, num, den = corrections[d - 1]
-            correction = expand_rational(num, den, spec.truncation).shift(shift)
+            kept = expand_rational(num, den, spec.truncation - shift).coeffs
+            correction = TruncSeries._of((0,) * shift + kept, spec.truncation)
         rows.append((idx, eta.shift(shift), correction))
     return tuple(rows)
 
@@ -388,8 +396,7 @@ def stratum_space_series(spec: ModuliSpec, d: int) -> TruncSeries:
     return spaces[min(d, len(spaces) - 1)]
 
 
-@dataclass(frozen=True)
-class KirwanViolation:
+class KirwanViolation(NamedTuple):
     """A failure of Betti monotonicity b_k(X_{d-1}) <= b_k(X_d)."""
 
     d: int

@@ -9,8 +9,6 @@ produce violation witnesses and is flagged accordingly.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .closedforms import (
     binomial_extra,
     bivariate_route,
@@ -63,11 +61,9 @@ def _equality_check(name: str, a: TruncSeries, b: TruncSeries, ok_detail: str) -
 def run_checks(spec: ModuliSpec) -> list[CheckResult]:
     """Run every applicable cross-check for one moduli problem, at the
     verification order (see :func:`default_truncation`)."""
-    spec = replace(
-        spec, truncation=max(spec.truncation, default_truncation(spec.genus, spec.degree))
-    )
+    order = max(spec.truncation, default_truncation(spec.genus, spec.degree))
+    spec = ModuliSpec(spec.genus, spec.degree, spec.determinant, order)
     surface = spec.surface
-    order = spec.truncation
     checks: list[CheckResult] = []
 
     direct = lemma_direct(surface, order)

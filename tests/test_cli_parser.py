@@ -246,15 +246,28 @@ def test_help_lists_every_subcommand_and_option(argv, capsys, monkeypatch):
             assert (action.help or "") in help_text
 
 
-def test_importing_the_cli_loads_no_argparse():
-    # a subprocess: pytest itself has imported argparse here
-    probe = "import sys, higgsbetti.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+def import_cli_in_subprocess(modules, *flags):
+    # a subprocess: pytest itself has imported these modules here
+    probe = f"import sys, higgsbetti.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     src = str(Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_importing_the_cli_loads_no_argparse():
+    assert import_cli_in_subprocess({"argparse", "gettext"}).stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the records are NamedTuples; dataclasses would pull in inspect, ast,
+    # dis and tokenize on every cold start
+    result = import_cli_in_subprocess({"dataclasses", "inspect"}, "-X", "importtime")
     assert result.stdout == "[]\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "higgsbetti.cli" in imported
+    assert not imported & {"dataclasses", "inspect"}

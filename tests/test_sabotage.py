@@ -8,7 +8,6 @@ the real block leaks into a sabotaged run or the other way round.
 
 import contextlib
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -71,7 +70,7 @@ def mu_2_plus_1(monkeypatch):
 
     def sabotaged(spec, d):
         idx = real(spec, d)
-        return replace(idx, mu=idx.mu + 1) if d == 2 else idx
+        return idx._replace(mu=idx.mu + 1) if d == 2 else idx
 
     monkeypatch.setattr(strata, "mu_index", sabotaged)
 

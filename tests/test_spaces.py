@@ -14,6 +14,7 @@ from higgsbetti.spaces import (
     jacobian_series,
     sym_cover_series,
     sym_generating,
+    sym_poly,
     sym_series,
 )
 
@@ -33,8 +34,30 @@ def count_partitions(k, parts):
 
 
 def test_surface_rejects_small_genus():
-    with pytest.raises(ValueError):
-        SurfaceSpec(1)
+    for genus in (1, 0, -3):
+        with pytest.raises(ValueError, match="^genus must be at least 2$"):
+            SurfaceSpec(genus)
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        SurfaceSpec(genus=1)
+
+
+def test_surface_is_frozen():
+    with pytest.raises(AttributeError):
+        G2.genus = 3
+    with pytest.raises(AttributeError):
+        G2.extra = 1  # no instance dict either
+    assert G2.genus == 2 and G2 == SurfaceSpec(2)
+
+
+def test_equal_surfaces_share_one_cache_entry():
+    sym_poly.cache_clear()
+    first = sym_poly(SurfaceSpec(3), 2)
+    again = SurfaceSpec(3)
+    assert hash(again) == hash(SurfaceSpec(3))
+    assert sym_poly(again, 2) is first
+    info = sym_poly.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    sym_poly.cache_clear()
 
 
 def test_jacobian_series():

@@ -3,8 +3,8 @@ telescoping, and the Kirwan monotonicity shadows."""
 
 import pytest
 
-from higgsbetti import spaces, strata
-from higgsbetti.series import Poly, TruncSeries, binomial
+from higgsbetti import spaces, strata, verify
+from higgsbetti.series import Poly, TruncSeries, binomial, expand_rational
 from higgsbetti.spaces import Determinant, bg_series
 from higgsbetti.strata import (
     KirwanViolation,
@@ -54,12 +54,54 @@ def clear_caches():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
         ModuliSpec(1, 0, FIXED, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree must be 0 or 1$"):
         ModuliSpec(2, 2, FIXED, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^truncation must be at least 1$"):
         ModuliSpec(2, 0, FIXED, 0)
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        ModuliSpec(genus=0, degree=1, determinant=NONFIXED, truncation=5)
+
+
+def test_spec_is_frozen():
+    spec = spec_of(2, 0, FIXED)
+    for field in ("genus", "degree", "determinant", "truncation"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 3)
+    with pytest.raises(AttributeError):
+        spec.extra = 1  # no instance dict either
+    assert spec == spec_of(2, 0, FIXED, 22)
+
+
+def test_equal_specs_share_one_cache_entry():
+    clear_caches()
+    first = semistable_series(ModuliSpec(3, 1, NONFIXED, 20))
+    again = ModuliSpec(3, 1, NONFIXED, 20)
+    assert hash(again) == hash(ModuliSpec(3, 1, NONFIXED, 20))
+    assert semistable_series(again) is first
+    info = semistable_series.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    clear_caches()
+
+
+def test_run_checks_lifts_a_short_spec_to_the_default_order(monkeypatch):
+    seen = []
+    real = strata.semistable_series
+
+    def recorded(spec):
+        seen.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(verify, "semistable_series", recorded)
+    for degree in (0, 1):
+        for det in Determinant:
+            seen.clear()
+            checks = run_checks(ModuliSpec(2, degree, det, 3))
+            default = ModuliSpec.default(2, degree, det)
+            assert seen == [default] and type(seen[0]) is ModuliSpec
+            assert all(c.passed for c in checks), checks
+            assert f"t^{default.truncation}" in checks[0].detail
 
 
 def test_default_truncation():
@@ -294,6 +336,23 @@ def test_moduli_series_expands_a_few_fractions_and_builds_no_stratum_table(
             assert strata._stratum_table.cache_info().misses == 0
             assert len(calls) <= 3
     clear_caches()
+
+
+@pytest.mark.parametrize("genus", [3, 8])
+def test_stratum_table_corrections_are_the_shifted_expansions(genus):
+    # each row's T(n_d) is expanded only up to t^{N - 2 mu_d}; the row must
+    # equal the order-N expansion shifted by 2 mu_d
+    for degree in (0, 1):
+        for det in Determinant:
+            spec = spec_of(genus, degree, det)
+            table = strata._stratum_table(spec)
+            corrections = strata._corrections(spec)
+            assert [t is not None for _, _, t in table] == [
+                d < len(corrections) for d in range(len(table))
+            ]
+            for (idx, num, den), (row_idx, _, row) in zip(corrections, table):
+                assert row_idx == idx
+                assert row == expand_rational(num, den, spec.truncation).shift(2 * idx.mu)
 
 
 def test_stratum_space_coefficients_are_betti_numbers():
