@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .series import BiSeries, Poly, TruncSeries, binomial, expand_rational
 from .spaces import Determinant, SurfaceSpec, sym_series
@@ -56,6 +57,7 @@ class ResidueLabel(Enum):
     DOUBLE_POLE_X_INV_T2 = "double-pole-x=1/t^2"
 
 
+@lru_cache(maxsize=None)
 def _residue_fraction(genus: int, label: ResidueLabel) -> tuple[Poly, Poly]:
     """One piece of the residue evaluation as a rational function num/den
     of t; every denominator has a nonzero constant term.
@@ -66,7 +68,8 @@ def _residue_fraction(genus: int, label: ResidueLabel) -> tuple[Poly, Poly]:
         x = 1/t^2:       t^{4g-4} (1+t)^{2g} / (2(t^2-1)) * bracket
 
     where bracket = 2g/(t+1) + 1/(t^2-1) - 1/2 + (3-2g), written over its
-    common denominator 2(t+1)(t^2-1).
+    common denominator 2(t+1)(t^2-1).  Cached: the residue route and the
+    closed form both read every piece.
     """
     g = genus
     shift = Poly.monomial(4 * g - 4)
@@ -110,10 +113,12 @@ def lemma_direct(surface: SurfaceSpec, order: int) -> TruncSeries:
     return total
 
 
+@lru_cache(maxsize=None)
 def lemma_closed(surface: SurfaceSpec, order: int) -> TruncSeries:
     """The kernel K_g(t) in closed form: the contour piece minus the three
     pole pieces of :func:`_residue_fraction`, put over one denominator and
-    expanded once."""
+    expanded once.  Cached: the kernel check and the degree-zero closed form
+    both read it."""
     num, den = Poly(), Poly.one()
     for label in ResidueLabel:
         piece_num, piece_den = _residue_fraction(surface.genus, label)
@@ -129,7 +134,15 @@ def bivariate_route(surface: SurfaceSpec, order: int) -> TruncSeries:
         t^{2g+2} x^4 (1+xt)^{2g} / ((1-x)(1-xt^2)(1-x^2 t^4)),
 
     validating the resummation of the infinite sum behind the residue
-    calculus by an independent computation.
+    calculus by an independent computation.  The denominator, multiplied
+    out, is 1 - (1+t^2) x + (t^2-t^4) x^2 + (t^4+t^6) x^3 - t^6 x^4, so the
+    x-coefficients c_m of the quotient follow the forward recurrence
+
+        c_m = num_m + (1+t^2) c_{m-1} - (t^2-t^4) c_{m-2}
+                    - (t^4+t^6) c_{m-3} + t^6 c_{m-4}
+
+    (:meth:`BiSeries.__truediv__`): at most four t-series products per
+    x-power up to x^{2g}, with entries truncated at t^order.
     """
     g2 = 2 * surface.genus
     # numerator: x^{a+4} coefficient is C(2g, a) t^{2g+2+a}
@@ -137,12 +150,19 @@ def bivariate_route(surface: SurfaceSpec, order: int) -> TruncSeries:
         Poly.monomial(g2 + 2 + a, binomial(g2, a)) for a in range(g2 - 3)
     ]
     num = BiSeries.of_polys(num_polys, g2, order)
-    den = (
-        BiSeries.of_polys([Poly.one(), Poly([-1])], g2, order)
-        * BiSeries.of_polys([Poly.one(), Poly([0, 0, -1])], g2, order)
-        * BiSeries.of_polys([Poly.one(), Poly(), Poly.monomial(4, -1)], g2, order)
+    # (1-x)(1-xt^2)(1-x^2 t^4) = 1 - (1+t^2) x + (t^2-t^4) x^2 + (t^4+t^6) x^3 - t^6 x^4
+    den = BiSeries.of_polys(
+        [
+            Poly.one(),
+            Poly([-1, 0, -1]),
+            Poly([0, 0, 1, 0, -1]),
+            Poly([0, 0, 0, 0, 1, 0, 1]),
+            Poly.monomial(6, -1),
+        ],
+        g2,
+        order,
     )
-    return (num * den.inv()).x_coeff(g2)
+    return (num / den).x_coeff(g2)
 
 
 def binomial_extra(surface: SurfaceSpec, route: str, order: int) -> TruncSeries:

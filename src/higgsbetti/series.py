@@ -62,6 +62,9 @@ def _exact(c: Scalar) -> Scalar:
 
 
 def _exact_all(cs: Iterable[Scalar]) -> list[Scalar]:
+    cs = list(cs)
+    if operator.countOf(map(type, cs), int) == len(cs):  # the common case, one scan in C
+        return cs
     return [c if type(c) is int else _exact(c) for c in cs]
 
 
@@ -357,13 +360,22 @@ def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
         c_k = (num_k - sum_{j>=1, den_j != 0} den_j c_{k-j}) / den_0,
 
     O(order * nnz(den)) operations; the denominators here are short products
-    of (1 - t^k) factors, so this is linear in the order.
+    of (1 - t^k) factors, so this is linear in the order.  When den_0 is an
+    integer that divides every coefficient of den (the 4 and 16 of the
+    residue pieces), the recurrence runs on den / den_0, whose constant term
+    is 1, and each coefficient is divided by den_0 once at the end, so the
+    recurrence itself stays on integers.
     """
     d0 = den.constant_term
     if d0 == 0:
         raise ZeroConstantTermError("denominator vanishes at t = 0")
-    terms = [(j, dj) for j, dj in enumerate(den.coeffs[1 : order + 1], 1) if dj]
-    unit = d0 == 1  # true of every (1 - t^k) product: an int needs no division then
+    content = 1
+    coeffs = den.coeffs
+    if type(d0) is int and d0 != 1 and all(type(c) is int and c % d0 == 0 for c in coeffs):
+        content, coeffs = d0, [c // d0 for c in coeffs]
+    lead = coeffs[0]
+    terms = [(j, dj) for j, dj in enumerate(coeffs[1 : order + 1], 1) if dj]
+    unit = lead == 1  # so an int needs no division: true of every (1 - t^k) product
     a = num.coeffs
     out: list[Scalar] = []
     for k in range(order + 1):
@@ -372,7 +384,9 @@ def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
             if j > k:
                 break
             acc -= dj * out[k - j]
-        out.append(acc if unit and type(acc) is int else _div(acc, d0))
+        out.append(acc if unit and type(acc) is int else _div(acc, lead))
+    if content != 1:
+        out = [_div(c, content) for c in out]
     return TruncSeries._of(out, order)
 
 
@@ -463,6 +477,33 @@ class BiSeries:
                 if not a.is_zero:
                     acc = acc + a * out[m - j]
             out.append((-acc) * c0)
+        return BiSeries(out)
+
+    def __truediv__(self, other: BiSeries) -> BiSeries:
+        """Quotient in x by a divisor whose x^0 coefficient is 1, by the
+        sparse forward recurrence of :func:`expand_rational` one level up:
+
+            c_m = self_m - sum_{j>=1, other_j != 0} other_j c_{m-j},
+
+        with t-series entries.  Equal to ``self * other.inv()``, at most
+        nnz(other) products per x-coefficient where the dense inverse and
+        product take O(x_order^2).
+        """
+        if not isinstance(other, BiSeries):
+            return NotImplemented
+        n = min(self.x_order, other.x_order)
+        t_ord = min(self.t_order, other.t_order)
+        if other.coeffs[0].truncated(t_ord) != TruncSeries.one(t_ord):
+            raise ValueError("the divisor's x^0 coefficient must be 1")
+        terms = [(j, b) for j, b in enumerate(other.coeffs[1 : n + 1], 1) if not b.is_zero]
+        out: list[TruncSeries] = []
+        for m in range(n + 1):
+            acc = self.coeffs[m].truncated(t_ord)
+            for j, b in terms:
+                if j > m:
+                    break
+                acc = acc - out[m - j] * b
+            out.append(acc)
         return BiSeries(out)
 
     def __repr__(self) -> str:

@@ -70,6 +70,7 @@ def bu1_series(order: int) -> TruncSeries:
     return expand_rational(Poly.one(), Poly([1, 0, -1]), order)
 
 
+@lru_cache(maxsize=None)
 def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> TruncSeries:
     """Atiyah-Bott series of the classifying space of the gauge group.
 
@@ -80,6 +81,9 @@ def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> Tru
     Non-fixed determinant (U(2) gauge group):
 
         (1+t)^(2g) (1+t^3)^(2g) / ((1-t^2)^2 (1-t^4))
+
+    Cached: the semistable series, the stratum-by-stratum route and the
+    telescoping check each read it.
     """
     g2 = 2 * surface.genus
     num = Poly([1, 0, 0, 1]) ** g2

@@ -18,7 +18,7 @@ the stratum-by-stratum route, the stratum spaces and the checks.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -192,14 +192,16 @@ def _corrections(spec: ModuliSpec) -> tuple[tuple[StratumIndex, Poly, Poly], ...
 def _stratum_table(
     spec: ModuliSpec,
 ) -> tuple[tuple[StratumIndex, TruncSeries, TruncSeries | None], ...]:
-    """One row per stratum d = 1..max_stratum: its index data,
-    t^{2 mu_d} eta_d and t^{2 mu_d} T(n_d), each to the truncation order
-    (T(n_d) expanded only up to N - 2 mu_d, the part the shift keeps).
-    The stratum contributes t^{2 mu_d} (eta_d - T(n_d)).
+    """One row per stratum d = 1..max_stratum: its index data, eta_d and
+    t^{2 mu_d} T(n_d), each to the truncation order (T(n_d) expanded only
+    up to N - 2 mu_d, the part the shift keeps).  The stratum contributes
+    t^{2 mu_d} (eta_d - T(n_d)).
 
-    The T entry is ``None`` for the strata :func:`_corrections` leaves out.
-    The stratum-by-stratum sums, the stratum differences and the stratum
-    spaces read this table; the displayed series does not need it.
+    eta_d is the same series for every d, so every row holds the one
+    unshifted expansion, and its readers place it at t^{2 mu_d}.  The T
+    entry is ``None`` for the strata :func:`_corrections` leaves out.  The
+    stratum-by-stratum sums, the stratum differences and the stratum spaces
+    read this table; the displayed series does not need it.
     """
     eta = expand_rational(*_critical_factor(spec), spec.truncation)
     corrections = _corrections(spec)
@@ -212,7 +214,7 @@ def _stratum_table(
             _, num, den = corrections[d - 1]
             kept = expand_rational(num, den, spec.truncation - shift).coeffs
             correction = TruncSeries._of((0,) * shift + kept, spec.truncation)
-        rows.append((idx, eta.shift(shift), correction))
+        rows.append((idx, eta, correction))
     return tuple(rows)
 
 
@@ -238,14 +240,14 @@ def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
     return series
 
 
-def _total(spec: ModuliSpec, rows: Iterable[tuple[int, TruncSeries]]) -> TruncSeries:
-    """Sum of integral series, each given with a shift below which it
-    vanishes.  The rows accumulate into one list, each from its shift
-    onward, so the prefix a row leaves unchanged is neither copied nor
+def _total(spec: ModuliSpec, rows: Iterable[tuple[int, Sequence[int]]]) -> TruncSeries:
+    """Sum of t^shift times each row's integral coefficients, to the
+    truncation order.  The rows accumulate into one list, each from its
+    shift onward, so the prefix a row leaves unchanged is neither copied nor
     re-normalised."""
     out: list[int] = [0] * (spec.truncation + 1)
-    for shift, series in rows:
-        out[shift:] = map(operator.add, out[shift:], series.coeffs[shift:])
+    for shift, coeffs in rows:
+        out[shift:] = map(operator.add, out[shift:], coeffs)
     return TruncSeries._of(out, spec.truncation)
 
 
@@ -258,15 +260,17 @@ def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over all strata of t^{2 mu_d} times the critical factor eta_d:
     (1+t)^{2g}/(1-t^2) for fixed determinant, (1+t)^{4g}/(1-t^2)^2 for
     non-fixed (either degree), stratum by stratum from the table."""
-    return _total(spec, ((2 * idx.mu, eta) for idx, eta, _ in _stratum_table(spec)))
+    return _total(spec, ((2 * idx.mu, eta.coeffs) for idx, eta, _ in _stratum_table(spec)))
 
 
+@lru_cache(maxsize=None)
 def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     """The same sum via geometric resummation.
 
     Consecutive exponents 2 mu_d differ by 4, so the tail resums to
     eta * t^{2 mu_1} / (1 - t^4), one expansion.  Cross-check against
-    :func:`unstable_sum`.
+    :func:`unstable_sum`.  Cached: the semistable series and the
+    resummation check both read it.
     """
     num, den = _critical_factor(spec)
     tail = expand_rational(num, den * _ONE_MINUS_T4, spec.truncation)
@@ -343,7 +347,9 @@ def stratification_formula(spec: ModuliSpec) -> TruncSeries:
     """
     bg = bg_series(spec.surface, spec.determinant, spec.truncation)
     table = _stratum_table(spec)
-    corrections = _total(spec, ((2 * idx.mu, t) for idx, _, t in table if t is not None))
+    corrections = _total(
+        spec, ((2 * idx.mu, t.coeffs[2 * idx.mu :]) for idx, _, t in table if t is not None)
+    )
     return _moduli_part(spec, bg - unstable_sum(spec) + corrections)
 
 
@@ -359,8 +365,13 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
     table = _stratum_table(spec)
     if d > len(table):  # 2 mu_d > N: the whole difference lies above t^N
         return TruncSeries.zero(spec.truncation)
-    _, eta, correction = table[d - 1]
-    return eta if correction is None else eta - correction
+    idx, eta, correction = table[d - 1]
+    shift = 2 * idx.mu
+    if correction is None:
+        above = eta.coeffs[: spec.truncation + 1 - shift]
+    else:
+        above = tuple(map(operator.sub, eta.coeffs, correction.coeffs[shift:]))
+    return TruncSeries._of((0,) * shift + above, spec.truncation)
 
 
 @lru_cache(maxsize=None)
@@ -417,10 +428,8 @@ def kirwan_monotonicity_check(spec: ModuliSpec) -> list[KirwanViolation]:
     previous = stratum_space_series(spec, 0)
     for d in range(1, max_stratum(spec) + 1):
         current = stratum_space_series(spec, d)
-        for k in range(spec.truncation + 1):
-            if previous[k] > current[k]:
-                violations.append(
-                    KirwanViolation(d, k, int(previous[k]), int(current[k]))
-                )
+        for k, (before, after) in enumerate(zip(previous.coeffs, current.coeffs)):
+            if before > after:
+                violations.append(KirwanViolation(d, k, int(before), int(after)))
         previous = current
     return violations

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from higgsbetti.series import (
     BiSeries,
@@ -12,6 +12,7 @@ from higgsbetti.series import (
     TruncSeries,
     XOrderExceededError,
     ZeroConstantTermError,
+    _exact_all,
     binomial,
     expand_rational,
 )
@@ -214,6 +215,12 @@ def test_x_coeff_beyond_truncation_is_loud():
         f.x_coeff(3)
 
 
+def test_bi_division_needs_a_unit_corner():
+    num = BiSeries.of_polys([Poly.one()], 2, 3)
+    with pytest.raises(ValueError):
+        num / BiSeries.of_polys([Poly([2]), Poly.one()], 2, 3)
+
+
 def test_bi_inv_needs_invertible_corner():
     f = BiSeries.of_polys([Poly([0, 1]), Poly.one()], 2, 3)
     with pytest.raises(ZeroConstantTermError):
@@ -309,3 +316,35 @@ def test_coefficients_are_int_when_integral_never_float(xs, ys, den, order):
         a.shift(2), a ** 2, den.as_series(order).inv(), expand_rational(p, den, order),
     ):
         assert_exact(series.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_st, bi_st, st.integers(0, 4), st.integers(0, 6), st.integers(0, 6))
+def test_bi_division_matches_the_dense_inverse(fs, gs, x_order, t_num, t_den):
+    # the sparse x-recurrence against the dense inverse and product it replaces
+    num = BiSeries.of_polys([Poly(cs) for cs in fs], x_order, t_num)
+    den = BiSeries.of_polys([Poly.one()] + [Poly(cs) for cs in gs], x_order, t_den)
+    assert num / den == num * den.inv()
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_st, st.sampled_from([2, -2, 3, 4, -6, 16]), coeffs_st, st.integers(0, 16))
+def test_expand_rational_with_integer_content_matches_dense_inverse(num_cs, content, q_cs, order):
+    # den = content * q with q_0 = 1: the recurrence runs on q, one division at the end
+    num, den = Poly(num_cs), Poly([content] + [content * c for c in q_cs])
+    dense = num.as_series(order) * den.as_series(order).inv()
+    expansion = expand_rational(num, den, order)
+    assert expansion == dense
+    assert_exact(expansion.coeffs)
+
+
+@given(st.lists(scalar_st, max_size=8))
+def test_exact_all_never_keeps_an_integral_fraction(cs):
+    out = _exact_all(cs)
+    assert out == cs
+    assert_exact(out)
+
+
+def test_an_integral_sum_of_fractions_is_an_int():
+    half = TruncSeries([Fraction(1, 2)], 0)
+    assert type((half + half).coeffs[0]) is int
