@@ -355,38 +355,33 @@ class TruncSeries:
 def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
     """Taylor expansion of num/den at t = 0, exact up to ``order``.
 
-    The denominator must not vanish at t = 0.  Sparse forward recurrence
+    The denominator must not vanish at t = 0.  With q = den / den_0, whose
+    constant term is 1, num/den = (num / q) / den_0: the sparse forward
+    recurrence
 
-        c_k = (num_k - sum_{j>=1, den_j != 0} den_j c_{k-j}) / den_0,
+        c_k = num_k - sum_{j>=1, q_j != 0} q_j c_{k-j},
 
-    O(order * nnz(den)) operations; the denominators here are short products
-    of (1 - t^k) factors, so this is linear in the order.  When den_0 is an
-    integer that divides every coefficient of den (the 4 and 16 of the
-    residue pieces), the recurrence runs on den / den_0, whose constant term
-    is 1, and each coefficient is divided by den_0 once at the end, so the
-    recurrence itself stays on integers.
+    then one division of each c_k by den_0.  O(order * nnz(den))
+    operations; the denominators here are short products of (1 - t^k)
+    factors, so this is linear in the order.  Where den_0 divides every
+    coefficient of den (1, or the 4 and 16 of the residue pieces and the
+    closed lemma), q is integral and the recurrence stays on integers.
     """
     d0 = den.constant_term
     if d0 == 0:
         raise ZeroConstantTermError("denominator vanishes at t = 0")
-    content = 1
-    coeffs = den.coeffs
-    if type(d0) is int and d0 != 1 and all(type(c) is int and c % d0 == 0 for c in coeffs):
-        content, coeffs = d0, [c // d0 for c in coeffs]
-    lead = coeffs[0]
-    terms = [(j, dj) for j, dj in enumerate(coeffs[1 : order + 1], 1) if dj]
-    unit = lead == 1  # so an int needs no division: true of every (1 - t^k) product
+    terms = [(j, _div(dj, d0)) for j, dj in enumerate(den.coeffs[1 : order + 1], 1) if dj]
     a = num.coeffs
     out: list[Scalar] = []
     for k in range(order + 1):
         acc = a[k] if k < len(a) else 0
-        for j, dj in terms:
+        for j, qj in terms:
             if j > k:
                 break
-            acc -= dj * out[k - j]
-        out.append(acc if unit and type(acc) is int else _div(acc, lead))
-    if content != 1:
-        out = [_div(c, content) for c in out]
+            acc -= qj * out[k - j]
+        out.append(acc if type(acc) is int else _exact(acc))
+    if d0 != 1:
+        out = [_div(c, d0) for c in out]
     return TruncSeries._of(out, order)
 
 

@@ -11,8 +11,9 @@ summing the per-stratum differences telescopes back to the classifying
 space, which is the engine's main internal consistency check.
 
 The displayed series is assembled from three fractions over Z[t], each
-expanded once; the stratum table, one expanded series per stratum, serves
-the stratum-by-stratum route, the stratum spaces and the checks.
+expanded once; the stratum table, one row per stratum holding the term
+t^{2 mu_d} (eta_d - T(n_d)) it adds, serves the stratum-by-stratum route,
+the stratum spaces and the checks.
 """
 
 from __future__ import annotations
@@ -131,12 +132,10 @@ def max_stratum(spec: ModuliSpec) -> int:
 
     A stratum's contribution starts at t^{2 mu_d}, so terms with
     2 mu_d > N vanish identically up to t^N and the infinite sums truncate
-    exactly.
+    exactly.  2 mu_d steps by 4 from 2 mu_1, so this is the count of
+    2 mu_1, 2 mu_1 + 4, ... up to N.
     """
-    d = 0
-    while 2 * mu_index(spec, d + 1).mu <= spec.truncation:
-        d += 1
-    return d
+    return max(0, (spec.truncation - 2 * mu_index(spec, 1).mu) // 4 + 1)
 
 
 @lru_cache(maxsize=None)
@@ -191,31 +190,27 @@ def _corrections(spec: ModuliSpec) -> tuple[tuple[StratumIndex, Poly, Poly], ...
 @lru_cache(maxsize=None)
 def _stratum_table(
     spec: ModuliSpec,
-) -> tuple[tuple[StratumIndex, TruncSeries, TruncSeries | None], ...]:
-    """One row per stratum d = 1..max_stratum: its index data, eta_d and
-    t^{2 mu_d} T(n_d), each to the truncation order (T(n_d) expanded only
-    up to N - 2 mu_d, the part the shift keeps).  The stratum contributes
-    t^{2 mu_d} (eta_d - T(n_d)).
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """eta_d to the truncation order, and one row per stratum
+    d = 1..max_stratum: (2 mu_d, the coefficients of eta_d - T(n_d) from t^0
+    up to t^{N - 2 mu_d}), the term t^{2 mu_d} (eta_d - T(n_d)) the stratum
+    adds to the Morse recursion.
 
-    eta_d is the same series for every d, so every row holds the one
-    unshifted expansion, and its readers place it at t^{2 mu_d}.  The T
-    entry is ``None`` for the strata :func:`_corrections` leaves out.  The
-    stratum-by-stratum sums, the stratum differences and the stratum spaces
-    read this table; the displayed series does not need it.
+    eta_d is the same series for every d and is expanded once; T(n_d) only
+    up to N - 2 mu_d, the part the shift keeps.  A stratum that
+    :func:`_corrections` leaves out has eta itself as its row (the one
+    tuple, longer than the shift keeps).  Readers place rows with
+    :func:`_total`.  The stratum-by-stratum sums, the stratum differences
+    and the stratum spaces read this table; the displayed series does not
+    need it.
     """
-    eta = expand_rational(*_critical_factor(spec), spec.truncation)
-    corrections = _corrections(spec)
+    eta = expand_rational(*_critical_factor(spec), spec.truncation).coeffs
     rows = []
-    for d in range(1, max_stratum(spec) + 1):
-        idx = mu_index(spec, d)
-        shift = 2 * idx.mu
-        correction = None
-        if d <= len(corrections):
-            _, num, den = corrections[d - 1]
-            kept = expand_rational(num, den, spec.truncation - shift).coeffs
-            correction = TruncSeries._of((0,) * shift + kept, spec.truncation)
-        rows.append((idx, eta, correction))
-    return tuple(rows)
+    for idx, num, den in _corrections(spec):
+        correction = expand_rational(num, den, spec.truncation - 2 * idx.mu).coeffs
+        rows.append((2 * idx.mu, tuple(map(operator.sub, eta, correction))))
+    rows += ((2 * mu_index(spec, d).mu, eta) for d in range(len(rows) + 1, max_stratum(spec) + 1))
+    return eta, tuple(rows)
 
 
 def _moduli_part(spec: ModuliSpec, series: TruncSeries) -> TruncSeries:
@@ -260,7 +255,8 @@ def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over all strata of t^{2 mu_d} times the critical factor eta_d:
     (1+t)^{2g}/(1-t^2) for fixed determinant, (1+t)^{4g}/(1-t^2)^2 for
     non-fixed (either degree), stratum by stratum from the table."""
-    return _total(spec, ((2 * idx.mu, eta.coeffs) for idx, eta, _ in _stratum_table(spec)))
+    eta, rows = _stratum_table(spec)
+    return _total(spec, ((shift, eta) for shift, _ in rows))
 
 
 @lru_cache(maxsize=None)
@@ -337,41 +333,29 @@ def moduli_series(spec: ModuliSpec) -> TruncSeries:
 
 
 def stratification_formula(spec: ModuliSpec) -> TruncSeries:
-    """The stratum-by-stratum assembly: ``P_t(BG)`` minus every table row's
-    t^{2 mu_d} eta_d plus every row's t^{2 mu_d} T(n_d), taken to the moduli
-    space as in :func:`moduli_series`.
+    """The stratum-by-stratum assembly: ``P_t(BG)`` minus every stratum's
+    t^{2 mu_d} (eta_d - T(n_d)), the stratum table's rows, taken to the
+    moduli space as in :func:`moduli_series`.
 
     It reads only the stratum table, so it shares the factors with
     :func:`semistable_series` but not the resummed tail or the correction
     fraction; the verification suite checks that they agree.
     """
     bg = bg_series(spec.surface, spec.determinant, spec.truncation)
-    table = _stratum_table(spec)
-    corrections = _total(
-        spec, ((2 * idx.mu, t.coeffs[2 * idx.mu :]) for idx, _, t in table if t is not None)
-    )
-    return _moduli_part(spec, bg - unstable_sum(spec) + corrections)
+    return _moduli_part(spec, bg - _total(spec, _stratum_table(spec)[1]))
 
 
 def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
     """Generating function of dim H^k(X_d) - dim H^k(X_{d-1}).
 
-    Equals t^{2 mu_d} * (eta-term - T-term); the T-term is empty once
-    n_d < 0.  Coefficients may be negative exactly when Kirwan surjectivity
-    fails (fixed determinant).
+    Equals t^{2 mu_d} * (eta-term - T-term), the table's row d; the T-term
+    is empty once n_d < 0, and past the table (2 mu_d > N) the whole
+    difference lies above t^N.  Coefficients may be negative exactly when
+    Kirwan surjectivity fails (fixed determinant).
     """
     if d < 1:
         raise ValueError("strata are indexed by d >= 1")
-    table = _stratum_table(spec)
-    if d > len(table):  # 2 mu_d > N: the whole difference lies above t^N
-        return TruncSeries.zero(spec.truncation)
-    idx, eta, correction = table[d - 1]
-    shift = 2 * idx.mu
-    if correction is None:
-        above = eta.coeffs[: spec.truncation + 1 - shift]
-    else:
-        above = tuple(map(operator.sub, eta.coeffs, correction.coeffs[shift:]))
-    return TruncSeries._of((0,) * shift + above, spec.truncation)
+    return _total(spec, _stratum_table(spec)[1][d - 1 : d])
 
 
 @lru_cache(maxsize=None)
@@ -380,9 +364,8 @@ def _stratum_spaces(spec: ModuliSpec) -> tuple[TruncSeries, ...]:
     # one difference per stratum, in a loop so a large order cannot hit the
     # recursion limit.
     spaces = [semistable_series(spec)]
-    for d in range(1, max_stratum(spec) + 1):
+    for d, (keep, _) in enumerate(_stratum_table(spec)[1], 1):
         # below t^{2 mu_d} X_d is X_{d-1}: share those coefficients, not copies
-        keep = 2 * mu_index(spec, d).mu
         before = spaces[-1].coeffs
         above = map(operator.add, before[keep:], stratum_difference(spec, d).coeffs[keep:])
         x = TruncSeries._of(before[:keep] + tuple(above), spec.truncation)

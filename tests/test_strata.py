@@ -119,6 +119,14 @@ def test_mu_index():
     assert (idx.mu, idx.n) == (6, 0)
     with pytest.raises(ValueError):
         mu_index(spec_of(2, 0, FIXED, 8), 0)
+    # max_stratum is the largest d with 2 mu_d <= N, and 0 below 2 mu_1:
+    # on both sides of each of the first thresholds 2 mu_d
+    for g in (2, 3, 16, 64):
+        for degree in (0, 1):
+            for d in (1, 2, 3):
+                edge = 2 * mu_index(spec_of(g, degree, FIXED, 8), d).mu
+                for order, largest in ((edge - 1, d - 1), (edge, d), (edge + 3, d)):
+                    assert max_stratum(spec_of(g, degree, FIXED, order)) == largest
 
 
 def test_unstable_sum_single_visible_stratum():
@@ -340,19 +348,25 @@ def test_moduli_series_expands_a_few_fractions_and_builds_no_stratum_table(
 
 @pytest.mark.parametrize("genus", [3, 8])
 def test_stratum_table_corrections_are_the_shifted_expansions(genus):
-    # each row's T(n_d) is expanded only up to t^{N - 2 mu_d}; the row must
-    # equal the order-N expansion shifted by 2 mu_d
+    # each table row expands T(n_d) only up to t^{N - 2 mu_d}; the stratum
+    # difference it gives must equal eta - T(n_d) from order-N expansions,
+    # shifted by 2 mu_d: eta alone past the corrected strata, zero past the table
     for degree in (0, 1):
         for det in Determinant:
             spec = spec_of(genus, degree, det)
-            table = strata._stratum_table(spec)
+            order = spec.truncation
+            eta = expand_rational(*strata._critical_factor(spec), order)
             corrections = strata._corrections(spec)
-            assert [t is not None for _, _, t in table] == [
-                d < len(corrections) for d in range(len(table))
-            ]
-            for (idx, num, den), (row_idx, _, row) in zip(corrections, table):
-                assert row_idx == idx
-                assert row == expand_rational(num, den, spec.truncation).shift(2 * idx.mu)
+            top = max_stratum(spec)
+            for d in range(1, top + 2):
+                idx = mu_index(spec, d)
+                expected = eta
+                if d <= len(corrections):
+                    corrected, num, den = corrections[d - 1]
+                    assert corrected == idx
+                    expected = eta - expand_rational(num, den, order)
+                assert stratum_difference(spec, d) == expected.shift(2 * idx.mu), (spec, d)
+            assert stratum_difference(spec, top + 1) == TruncSeries.zero(order)
 
 
 def test_stratum_space_coefficients_are_betti_numbers():
