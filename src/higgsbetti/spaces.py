@@ -20,6 +20,7 @@ __all__ = [
     "SurfaceSpec",
     "anti_invariant_dim",
     "bg_series",
+    "binomial_poly",
     "bu1_series",
     "jacobian_series",
     "sym_cover_poly",
@@ -28,6 +29,9 @@ __all__ = [
     "sym_poly",
     "sym_series",
 ]
+
+_BG_DEN_FIXED = Poly([1, 0, -1, 0, -1, 0, 1])  # (1-t^2)(1-t^4)
+_BG_DEN_NONFIXED = Poly([1, 0, -2, 0, 0, 0, 2, 0, -1])  # (1-t^2)^2 (1-t^4)
 
 
 class Determinant(Enum):
@@ -38,7 +42,8 @@ class Determinant(Enum):
 
 
 class CoverRangeError(ValueError):
-    """Covered symmetric products are only used for 0 <= n <= 2g-2."""
+    """Covered symmetric products, and the correction terms T(n) built from
+    S^n M, are only used for 0 <= n <= 2g-2."""
 
 
 class _SurfaceFields(NamedTuple):
@@ -58,6 +63,19 @@ class SurfaceSpec(_SurfaceFields):
         if genus < 2:
             raise ValueError("genus must be at least 2")
         return super().__new__(cls, genus)
+
+
+def binomial_poly(n: int, step: int) -> Poly:
+    """(1 + t^step)^n by the binomial theorem: C(n, k) at t^{step k}, with
+    no polynomial product."""
+    if n < 0 or step < 1:
+        raise ValueError("binomial_poly needs n >= 0 and step >= 1")
+    out = [0] * (n * step + 1)
+    c = 1
+    for k in range(n + 1):
+        out[k * step] = c
+        c = c * (n - k) // (k + 1)
+    return Poly(out)
 
 
 def jacobian_series(surface: SurfaceSpec, order: int) -> TruncSeries:
@@ -82,16 +100,16 @@ def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> Tru
 
         (1+t)^(2g) (1+t^3)^(2g) / ((1-t^2)^2 (1-t^4))
 
-    Cached: the semistable series, the stratum-by-stratum route and the
-    telescoping check each read it.
+    The binomial powers come from :func:`binomial_poly` and the
+    denominators are constants, so the only polynomial product is the
+    non-fixed numerator's.  Cached: the semistable series, the
+    stratum-by-stratum route and the telescoping check each read it.
     """
     g2 = 2 * surface.genus
-    num = Poly([1, 0, 0, 1]) ** g2
-    den = Poly([1, 0, -1]) * Poly([1, 0, 0, 0, -1])
-    if determinant is Determinant.NONFIXED:
-        num = num * Poly([1, 1]) ** g2
-        den = den * Poly([1, 0, -1])
-    return expand_rational(num, den, order)
+    num = binomial_poly(g2, 3)
+    if determinant is Determinant.FIXED:
+        return expand_rational(num, _BG_DEN_FIXED, order)
+    return expand_rational(num * binomial_poly(g2, 1), _BG_DEN_NONFIXED, order)
 
 
 @lru_cache(maxsize=None)

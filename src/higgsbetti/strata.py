@@ -19,15 +19,17 @@ the stratum spaces and the checks.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
-from .series import Poly, TruncSeries, expand_rational, first_non_integer
+from .series import Poly, TruncSeries, binomial, expand_rational, first_non_integer
 from .spaces import (
+    CoverRangeError,
     Determinant,
     SurfaceSpec,
     bg_series,
+    binomial_poly,
     sym_cover_poly,
     sym_poly,
 )
@@ -53,7 +55,6 @@ __all__ = [
 ]
 
 _ONE = Poly.one()
-_ONE_PLUS_T = Poly([1, 1])
 _ONE_MINUS_T2 = Poly([1, 0, -1])
 _ONE_MINUS_T4 = Poly([1, 0, 0, 0, -1])
 
@@ -141,9 +142,10 @@ def max_stratum(spec: ModuliSpec) -> int:
 @lru_cache(maxsize=None)
 def _jacobian_bu1_factor(genus: int) -> tuple[Poly, Poly]:
     """One Jacobian and one BU(1) factor, (1+t)^{2g}/(1-t^2), as numerator
-    and denominator.  Cached: eta and every non-fixed T(n) carry it, and it
-    depends on the genus alone."""
-    return _ONE_PLUS_T ** (2 * genus), _ONE_MINUS_T2
+    and denominator, the numerator by :func:`binomial_poly`.  Cached: eta
+    and the recurrence of every non-fixed T(n) read it, and it depends on
+    the genus alone."""
+    return binomial_poly(2 * genus, 1), _ONE_MINUS_T2
 
 
 def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
@@ -159,18 +161,65 @@ def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     return num * num, den * den
 
 
+def _add_at(
+    out: list[int], shift: int, coeffs: Sequence[int], op: Callable[[int, int], int] = operator.add
+) -> None:
+    """Add t^shift times ``coeffs`` into ``out`` in place (or, with
+    ``operator.sub``, take it away), dropping what lies past the end of
+    ``out``.  The prefix below the shift is neither copied nor
+    re-normalised."""
+    end = shift + len(coeffs)
+    out[shift:end] = map(op, out[shift:end], coeffs)
+
+
+@lru_cache(maxsize=None)
+def _nonfixed_numerators(genus: int, parity: int) -> tuple[Poly, ...]:
+    """The numerators P_t(S^n M) (1+t)^{2g} of the non-fixed T(n) for
+    n = parity, parity + 2, ... up to 2g - 2, by Macdonald's recurrence.
+
+    Clearing the denominators of Macdonald's generating function
+    sum_n x^n P_t(S^n M) = (1+xt)^{2g} / ((1-x)(1-xt^2)) and multiplying by
+    J = (1+t)^{2g}, read through :func:`_jacobian_bu1_factor`, gives
+
+        T_n = (1+t^2) T_{n-1} - t^2 T_{n-2} + C(2g, n) t^n J,
+
+    shifted sums and one scalar multiple of J per step, no polynomial
+    product.  Every n is stepped through; only the parity asked for is kept
+    (the n_d of one degree share the parity of d_E).
+    """
+    jacobian = _jacobian_bu1_factor(genus)[0].coeffs
+    kept: list[Poly] = []
+    before: list[int] = []
+    current: list[int] = []
+    for n in range(2 * genus - 1):
+        out = [0] * (2 * n + len(jacobian))
+        _add_at(out, 0, current)
+        _add_at(out, 2, current)
+        _add_at(out, 2, before, operator.sub)
+        scale = binomial(2 * genus, n)
+        _add_at(out, n, [scale * c for c in jacobian])
+        before, current = current, out
+        if n % 2 == parity:
+            kept.append(Poly(out))
+    return tuple(kept)
+
+
 def _correction_factor(spec: ModuliSpec, n: int) -> tuple[Poly, Poly]:
     """T(n), the equivariant series of the subspace responsible for the
-    index jump, for n = n_d >= 0, as numerator and denominator.
+    index jump, for 0 <= n = n_d <= 2g - 2 (else :class:`CoverRangeError`),
+    as numerator and denominator.
 
     Fixed determinant: the 2^{2g}-fold cover of S^n M, over 1; non-fixed:
     S^n M times a Jacobian and a BU(1) factor, P_t(S^n M) (1+t)^{2g} over
-    1-t^2.  Either way the denominator is the same for every n.
+    1-t^2, the numerator looked up in :func:`_nonfixed_numerators`.  Either
+    way the denominator is the same for every n.
     """
+    if not 0 <= n <= 2 * spec.genus - 2:
+        raise CoverRangeError(f"T(n) needs 0 <= n <= 2g-2 = {2 * spec.genus - 2}, got n = {n}")
     if spec.determinant is Determinant.FIXED:
         return sym_cover_poly(spec.surface, n), _ONE
-    num, den = _jacobian_bu1_factor(spec.genus)
-    return sym_poly(spec.surface, n) * num, den
+    den = _jacobian_bu1_factor(spec.genus)[1]
+    return _nonfixed_numerators(spec.genus, n % 2)[n // 2], den
 
 
 @lru_cache(maxsize=None)
@@ -237,18 +286,21 @@ def _require_betti(series: TruncSeries, what: str) -> TruncSeries:
 
 def _total(spec: ModuliSpec, rows: Iterable[tuple[int, Sequence[int]]]) -> TruncSeries:
     """Sum of t^shift times each row's integral coefficients, to the
-    truncation order.  The rows accumulate into one list, each from its
-    shift onward, so the prefix a row leaves unchanged is neither copied nor
-    re-normalised."""
+    truncation order, accumulated into one list."""
     out: list[int] = [0] * (spec.truncation + 1)
     for shift, coeffs in rows:
-        out[shift:] = map(operator.add, out[shift:], coeffs)
+        _add_at(out, shift, coeffs)
     return TruncSeries._of(out, spec.truncation)
 
 
 def _shifted_sum(terms: Iterable[tuple[int, Poly]]) -> Poly:
-    """The polynomial sum of t^shift p over the (shift, p) terms."""
-    return sum((p.shift(shift) for shift, p in terms), Poly())
+    """The polynomial sum of t^shift p over the (shift, p) terms,
+    accumulated into one list."""
+    terms = [(shift, p.coeffs) for shift, p in terms]
+    out: list[int] = [0] * max((shift + len(cs) for shift, cs in terms), default=0)
+    for shift, coeffs in terms:
+        _add_at(out, shift, coeffs)
+    return Poly(out)
 
 
 def unstable_sum(spec: ModuliSpec) -> TruncSeries:

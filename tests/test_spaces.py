@@ -10,6 +10,7 @@ from higgsbetti.spaces import (
     SurfaceSpec,
     anti_invariant_dim,
     bg_series,
+    binomial_poly,
     bu1_series,
     jacobian_series,
     sym_cover_series,
@@ -74,6 +75,20 @@ def test_bu1_series():
 
 def test_bg_series_fixed_anchor():
     assert bg_series(G2, Determinant.FIXED, 5)[5] == 4
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_binomial_poly_is_the_power(step):
+    # the binomial theorem against repeated squaring
+    base = Poly.monomial(step) + 1
+    for n in range(129):
+        assert binomial_poly(n, step) == base**n, n
+
+
+def test_binomial_poly_rejects_bad_arguments():
+    for n, step in ((-1, 1), (2, 0)):
+        with pytest.raises(ValueError, match="^binomial_poly needs n >= 0 and step >= 1$"):
+            binomial_poly(n, step)
 
 
 def test_bg_series_connected():

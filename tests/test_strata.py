@@ -5,7 +5,7 @@ import pytest
 
 from higgsbetti import spaces, strata, verify
 from higgsbetti.series import Poly, TruncSeries, binomial, expand_rational
-from higgsbetti.spaces import Determinant, bg_series
+from higgsbetti.spaces import Determinant, bg_series, sym_poly
 from higgsbetti.strata import (
     KirwanViolation,
     ModuliSpec,
@@ -306,20 +306,18 @@ def test_run_checks_builds_each_correction_factor_once(det, monkeypatch):
 def test_run_checks_builds_the_jacobian_factor_once(monkeypatch):
     # (1+t)^{2g} depends on g alone; eta and every non-fixed T(n) share it
     builds = []
+    real = strata.binomial_poly
 
-    class CountedPoly(Poly):
-        __slots__ = ()
-
-        def __pow__(self, k):
-            builds.append(k)
-            return super().__pow__(k)
+    def counted(n, step):
+        builds.append((n, step))
+        return real(n, step)
 
     clear_caches()
-    monkeypatch.setattr(strata, "_ONE_PLUS_T", CountedPoly([1, 1]))
+    monkeypatch.setattr(strata, "binomial_poly", counted)
     run_checks(spec_of(5, 1, NONFIXED))
     monkeypatch.undo()
     clear_caches()
-    assert builds == [10]
+    assert builds == [(10, 1)]
 
 
 @pytest.mark.parametrize("genus, order", [(3, 200), (16, 1024)])
@@ -344,6 +342,57 @@ def test_moduli_series_expands_a_few_fractions_and_builds_no_stratum_table(
             assert strata._stratum_table.cache_info().misses == 0
             assert len(calls) <= 3
     clear_caches()
+
+
+def test_moduli_series_makes_a_fixed_number_of_polynomial_products(monkeypatch):
+    # T(n) by recurrence, binomial powers in closed form: the products left
+    # are the non-fixed A*J, eta's J*J and (1-t^2)^2, and the resummed
+    # tail's denominator, whatever the genus
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    counts = {}
+    for genus in (3, 64):
+        for degree in (0, 1):
+            for det in Determinant:
+                clear_caches()
+                calls.clear()
+                moduli_series(spec_of(genus, degree, det))
+                counts[genus, degree, det] = len(calls)
+    monkeypatch.undo()
+    clear_caches()
+    assert max(counts.values()) <= 4
+    for (genus, degree, det), count in counts.items():
+        assert count == counts[3, degree, det]
+
+
+@pytest.mark.parametrize("genus", [*range(2, 13), 16, 32, 64])
+def test_nonfixed_correction_numerators_match_the_products(genus):
+    # Macdonald's recurrence in n against P_t(S^n M) (1+t)^{2g} multiplied out
+    jacobian = Poly([1, 1]) ** (2 * genus)
+    spec = spec_of(genus, 0, NONFIXED)
+    for n in range(2 * genus - 1):
+        num, den = strata._correction_factor(spec, n)
+        assert num == sym_poly(spec.surface, n) * jacobian, n
+        assert den == Poly([1, 0, -1])
+
+
+@pytest.mark.parametrize("det", [FIXED, NONFIXED])
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("genus", [2, 5])
+def test_correction_factor_rejects_n_outside_its_range(genus, degree, det):
+    # n = -1 must not wrap round to T(2g-2), nor n past 2g-2 be accepted
+    spec = spec_of(genus, degree, det)
+    top = 2 * genus - 2
+    for n in (-2, -1, top + 1, top + 2):
+        message = rf"^T\(n\) needs 0 <= n <= 2g-2 = {top}, got n = {n}$"
+        with pytest.raises(ValueError, match=message):
+            strata._correction_factor(spec, n)
 
 
 @pytest.mark.parametrize("genus", [3, 8])
