@@ -41,20 +41,21 @@ class BettiReport(NamedTuple):
     strata: tuple[tuple[str, TruncSeries], ...] = ()
 
 
-def _int_coeffs(series: TruncSeries) -> list[int]:
+def _decimal_coeffs(series: TruncSeries) -> list[str]:
+    """Each coefficient in plain decimal, rendered once (an integral
+    ``Fraction`` prints as its integer)."""
     k = first_non_integer(series, nonnegative=False)
     if k is not None:
         raise ValueError(f"coefficient of t^{k} is not an integer: {series.coeffs[k]}")
-    return [int(c) for c in series.coeffs]
+    return list(map(str, series.coeffs))
 
 
 def _coefficient_table(series: TruncSeries) -> str:
-    coeffs = _int_coeffs(series)
+    coeffs = _decimal_coeffs(series)
     wk = len(str(series.order))
-    wb = max(len("b_k"), max(len(str(c)) for c in coeffs))
+    wb = max(len("b_k"), max(map(len, coeffs)))
     lines = [f"{'k':>{wk}}  {'b_k':>{wb}}"]
-    for k, c in enumerate(coeffs):
-        lines.append(f"{k:>{wk}}  {c:>{wb}}")
+    lines += [f"{str(k).rjust(wk)}  {c.rjust(wb)}" for k, c in enumerate(coeffs)]
     return "\n".join(lines) + "\n"
 
 
@@ -100,7 +101,7 @@ def render_json(report: BettiReport) -> str:
         "determinant": spec.determinant.value,
         "truncation": spec.truncation,
         "route": report.route,
-        "coefficients": [str(c) for c in _int_coeffs(report.series)],
+        "coefficients": _decimal_coeffs(report.series),
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in report.checks
@@ -110,7 +111,7 @@ def render_json(report: BettiReport) -> str:
         payload["strata"] = [
             {
                 "d": int(label) if label.isdigit() else label,
-                "coefficients": [str(c) for c in _int_coeffs(series)],
+                "coefficients": _decimal_coeffs(series),
             }
             for label, series in report.strata
         ]
@@ -121,7 +122,7 @@ def render_csv(report: BettiReport) -> str:
     if report.strata:
         lines = ["d,k,b_k"]
         for label, series in report.strata:
-            for k, c in enumerate(_int_coeffs(series)):
+            for k, c in enumerate(_decimal_coeffs(series)):
                 lines.append(f"{label},{k},{c}")
         return "\n".join(lines) + "\n"
     if report.checks:
@@ -132,7 +133,7 @@ def render_csv(report: BettiReport) -> str:
             writer.writerow([c.name, "pass" if c.passed else "fail", c.detail])
         return buffer.getvalue()
     lines = ["k,b_k"]
-    for k, c in enumerate(_int_coeffs(report.series)):
+    for k, c in enumerate(_decimal_coeffs(report.series)):
         lines.append(f"{k},{c}")
     return "\n".join(lines) + "\n"
 

@@ -82,7 +82,11 @@ def first_non_integer(series: TruncSeries, *, nonnegative: bool) -> int | None:
 
     An integral ``Fraction`` counts as an integer.
     """
-    for k, c in enumerate(series.coeffs):
+    cs = series.coeffs
+    # the common case, all ``int`` and in range, in two scans in C
+    if operator.countOf(map(type, cs), int) == len(cs) and not (nonnegative and min(cs) < 0):
+        return None
+    for k, c in enumerate(cs):
         if c.denominator != 1 or (nonnegative and c < 0):
             return k
     return None

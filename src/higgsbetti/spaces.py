@@ -19,6 +19,7 @@ __all__ = [
     "Determinant",
     "SurfaceSpec",
     "anti_invariant_dim",
+    "bg_fraction",
     "bg_series",
     "binomial_poly",
     "bu1_series",
@@ -89,8 +90,9 @@ def bu1_series(order: int) -> TruncSeries:
 
 
 @lru_cache(maxsize=None)
-def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> TruncSeries:
-    """Atiyah-Bott series of the classifying space of the gauge group.
+def bg_fraction(surface: SurfaceSpec, determinant: Determinant) -> tuple[Poly, Poly]:
+    """Atiyah-Bott series of the classifying space of the gauge group, as
+    numerator and denominator.
 
     Fixed determinant (SU(2) gauge group):
 
@@ -102,14 +104,25 @@ def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> Tru
 
     The binomial powers come from :func:`binomial_poly` and the
     denominators are constants, so the only polynomial product is the
-    non-fixed numerator's.  Cached: the semistable series, the
-    stratum-by-stratum route and the telescoping check each read it.
+    non-fixed numerator's.  Cached: the semistable series puts its whole
+    Morse assembly over this denominator, and :func:`bg_series` expands it.
     """
     g2 = 2 * surface.genus
     num = binomial_poly(g2, 3)
     if determinant is Determinant.FIXED:
-        return expand_rational(num, _BG_DEN_FIXED, order)
-    return expand_rational(num * binomial_poly(g2, 1), _BG_DEN_NONFIXED, order)
+        return num, _BG_DEN_FIXED
+    return num * binomial_poly(g2, 1), _BG_DEN_NONFIXED
+
+
+@lru_cache(maxsize=None)
+def bg_series(surface: SurfaceSpec, determinant: Determinant, order: int) -> TruncSeries:
+    """:func:`bg_fraction` expanded to ``order``.
+
+    The displayed series does not read it.  Cached: a degree-one ``verify``
+    reads it twice, in the telescoping check and in the stratum-by-stratum
+    route, and the ``strata`` dump shows it as its "bg" row.
+    """
+    return expand_rational(*bg_fraction(surface, determinant), order)
 
 
 @lru_cache(maxsize=None)

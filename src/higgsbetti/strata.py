@@ -10,10 +10,10 @@ corrections back yields the equivariant series of the semistable locus;
 summing the per-stratum differences telescopes back to the classifying
 space, which is the engine's main internal consistency check.
 
-The displayed series is assembled from three fractions over Z[t], each
-expanded once; the stratum table, one row per stratum holding the term
-t^{2 mu_d} (eta_d - T(n_d)) it adds, serves the stratum-by-stratum route,
-the stratum spaces and the checks.
+The displayed series is one fraction over Z[t], the whole Morse assembly
+over the classifying space's denominator, expanded once; the stratum table,
+one row per stratum holding the term t^{2 mu_d} (eta_d - T(n_d)) it adds,
+serves the stratum-by-stratum route, the stratum spaces and the checks.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .spaces import (
     CoverRangeError,
     Determinant,
     SurfaceSpec,
+    bg_fraction,
     bg_series,
     binomial_poly,
     sym_cover_poly,
@@ -57,6 +58,10 @@ __all__ = [
 _ONE = Poly.one()
 _ONE_MINUS_T2 = Poly([1, 0, -1])
 _ONE_MINUS_T4 = Poly([1, 0, 0, 0, -1])
+# (1-t^2)(1-t^4) = 1 - t^2 - t^4 + t^6 as shifted adds
+_TIMES_ONE_MINUS_T2_T4 = (
+    (0, operator.add), (2, operator.sub), (4, operator.sub), (6, operator.add)
+)
 
 
 class NegativeBettiError(ArithmeticError):
@@ -148,12 +153,15 @@ def _jacobian_bu1_factor(genus: int) -> tuple[Poly, Poly]:
     return binomial_poly(2 * genus, 1), _ONE_MINUS_T2
 
 
+@lru_cache(maxsize=None)
 def _critical_factor(spec: ModuliSpec) -> tuple[Poly, Poly]:
     """eta_d, the equivariant series of the d-th critical set (the same for
     every d), as numerator and denominator.
 
     Fixed determinant: J_d x BU(1), i.e. (1+t)^{2g}/(1-t^2); non-fixed: two
-    Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2.
+    Jacobian factors and two BU(1) factors, (1+t)^{4g}/(1-t^2)^2.  Cached:
+    the displayed series, the stratum table and the resummed tail each read
+    it, and the non-fixed squares are products.
     """
     num, den = _jacobian_bu1_factor(spec.genus)
     if spec.determinant is Determinant.FIXED:
@@ -228,9 +236,9 @@ def _corrections(spec: ModuliSpec) -> tuple[tuple[StratumIndex, Poly, Poly], ...
     d = 1..max_stratum with n_d >= 0.
 
     This is the one place that says which strata carry a correction.  n_d
-    falls with d, so they are the first ``len`` strata.  Both the display
-    route (:func:`correction_sum`) and the stratum table read it, so each
-    T(n_d) is built once per spec.
+    falls with d, so they are the first ``len`` strata.  The displayed
+    series (through :func:`_correction_numerator`), the stratum table and
+    the invariant part read it, so each T(n_d) is built once per spec.
     """
     indices = (mu_index(spec, d) for d in range(1, max_stratum(spec) + 1))
     return tuple((idx, *_correction_factor(spec, idx.n)) for idx in indices if idx.n >= 0)
@@ -311,18 +319,24 @@ def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     return _total(spec, ((shift, eta) for shift, _ in rows))
 
 
-@lru_cache(maxsize=None)
 def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     """The same sum via geometric resummation.
 
     Consecutive exponents 2 mu_d differ by 4, so the tail resums to
-    eta * t^{2 mu_1} / (1 - t^4), one expansion.  Cross-check against
-    :func:`unstable_sum`.  Cached: the semistable series and the
-    resummation check both read it.
+    eta * t^{2 mu_1} / (1 - t^4), one expansion.  Its one reader is the
+    resummation check against :func:`unstable_sum`; the displayed series
+    puts the same tail over the classifying space's denominator instead.
     """
     num, den = _critical_factor(spec)
     tail = expand_rational(num, den * _ONE_MINUS_T4, spec.truncation)
     return tail.shift(2 * mu_index(spec, 1).mu)
+
+
+def _correction_numerator(spec: ModuliSpec) -> Poly:
+    """Sum of t^{2 mu_d} times the numerator of T(n_d) over the strata with
+    n_d >= 0, the numerator of :func:`correction_sum` over the denominator
+    the T(n) share."""
+    return _shifted_sum((2 * idx.mu, num) for idx, num, _ in _corrections(spec))
 
 
 def correction_sum(spec: ModuliSpec) -> TruncSeries:
@@ -330,30 +344,42 @@ def correction_sum(spec: ModuliSpec) -> TruncSeries:
     jumps) of t^{2 mu_d} times the correction factor T(n_d).
 
     One fraction: the shifted numerators summed over the denominator the
-    T(n) share, expanded once.
+    T(n) share, expanded once.  :func:`semistable_series` puts the same
+    numerator over the classifying space's denominator instead, so this is
+    the term-by-term reference for it.
     """
     corrections = _corrections(spec)
     if not corrections:
         return TruncSeries.zero(spec.truncation)
-    num = _shifted_sum((2 * idx.mu, num) for idx, num, _ in corrections)
-    return expand_rational(num, corrections[0][2], spec.truncation)
+    return expand_rational(_correction_numerator(spec), corrections[0][2], spec.truncation)
 
 
 @lru_cache(maxsize=None)
 def semistable_series(spec: ModuliSpec) -> TruncSeries:
     """Equivariant Poincare series of the semistable locus.
 
-    Morse recursion: start from the classifying-space series, remove every
-    stratum's normal contribution t^{2 mu_d} * eta_d, and add back the
-    correction t^{2 mu_d} * T_d for the first g-1 strata, where the Morse
-    index jumps.  Each of the three terms is a fraction expanded once (the
-    unstable tail resummed), so no per-stratum series is built.
-    Coefficients must come out nonnegative integers.
+    Morse recursion: start from the classifying-space series A/D, remove
+    every stratum's normal contribution t^{2 mu_d} * eta_d, and add back the
+    correction t^{2 mu_d} * T(n_d) for the first g-1 strata, where the Morse
+    index jumps.  The unstable tail resums to t^{2 mu_1} eta/(1-t^4), and in
+    every variant D = den(eta) (1-t^4) = den(T) (1-t^2)(1-t^4), so the
+    whole assembly is one fraction,
+
+        [A - t^{2 mu_1} num(eta) + (1-t^2)(1-t^4) sum_d t^{2 mu_d} num(T(n_d))] / D,
+
+    expanded once; no per-stratum series is built.  Coefficients must come
+    out nonnegative integers.  Cached: the displayed series, the stratum
+    spaces, the invariant part and the checks all start from it.
     """
-    bg = bg_series(spec.surface, spec.determinant, spec.truncation)
-    return _require_betti(
-        bg - unstable_sum_resummed(spec) + correction_sum(spec), "semistable series"
-    )
+    order = spec.truncation
+    bg_num, den = bg_fraction(spec.surface, spec.determinant)
+    num = list(bg_num.coeffs[: order + 1])
+    num += [0] * (order + 1 - len(num))
+    _add_at(num, 2 * mu_index(spec, 1).mu, _critical_factor(spec)[0].coeffs, operator.sub)
+    corrections = _correction_numerator(spec).coeffs
+    for shift, op in _TIMES_ONE_MINUS_T2_T4:
+        _add_at(num, shift, corrections, op)
+    return _require_betti(expand_rational(Poly(num), den, order), "semistable series")
 
 
 def invariant_part_series(spec: ModuliSpec) -> TruncSeries:

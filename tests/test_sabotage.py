@@ -56,11 +56,21 @@ def sym_poly_plus_t(monkeypatch):
 
 
 def bg_seen_by_strata_plus_t7(monkeypatch):
-    real = strata.bg_series
+    # the displayed series reads P_t(BG) as a fraction num/den, where
+    # num + t^7 den is the series P_t(BG) + t^7; the stratum-by-stratum
+    # route reads the expansion
+    real_fraction = strata.bg_fraction
+    real_series = strata.bg_series
+
+    def fraction(surface, det):
+        num, den = real_fraction(surface, det)
+        return num + Poly.monomial(7) * den, den
+
+    monkeypatch.setattr(strata, "bg_fraction", fraction)
     monkeypatch.setattr(
         strata,
         "bg_series",
-        lambda surface, det, order: real(surface, det, order)
+        lambda surface, det, order: real_series(surface, det, order)
         + Poly.monomial(7).as_series(order),
     )
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from higgsbetti.series import (
     BiSeries,
@@ -15,6 +15,7 @@ from higgsbetti.series import (
     _exact_all,
     binomial,
     expand_rational,
+    first_non_integer,
 )
 
 
@@ -343,6 +344,28 @@ def test_exact_all_never_keeps_an_integral_fraction(cs):
     out = _exact_all(cs)
     assert out == cs
     assert_exact(out)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-2, 2), min_size=1, max_size=8),
+        st.lists(scalar_st, min_size=1, max_size=8),
+    ),
+    st.booleans(),
+)
+@example([3, -1, 0], True)
+@example([0, Fraction(4, 2), Fraction(-1, 1)], True)
+def test_first_non_integer_matches_the_plain_scan(cs, nonnegative):
+    # the all-int fast path against the coefficient-by-coefficient loop,
+    # integral Fractions kept as they are
+    def plain(coeffs):
+        for k, c in enumerate(coeffs):
+            if c.denominator != 1 or (nonnegative and c < 0):
+                return k
+        return None
+
+    series = TruncSeries._of(cs, len(cs) - 1)
+    assert first_non_integer(series, nonnegative=nonnegative) == plain(cs)
 
 
 def test_an_integral_sum_of_fractions_is_an_int():

@@ -321,33 +321,35 @@ def test_run_checks_builds_the_jacobian_factor_once(monkeypatch):
 
 
 @pytest.mark.parametrize("genus, order", [(3, 200), (16, 1024)])
-def test_moduli_series_expands_a_few_fractions_and_builds_no_stratum_table(
+def test_moduli_series_expands_one_fraction_and_builds_no_stratum_table(
     genus, order, monkeypatch
 ):
-    # the displayed series is P_t(BG) - resummed tail + correction fraction:
-    # a fixed number of expansions whatever the order, no per-stratum series
+    # the displayed series is one fraction over P_t(BG)'s denominator: one
+    # expansion whatever the order, P_t(BG) itself not expanded, and no
+    # per-stratum series
     calls = []
-    expand = strata.expand_rational
+    for module in (strata, spaces):
+        expand = module.expand_rational
 
-    def counted(num, den, order):
-        calls.append(order)
-        return expand(num, den, order)
+        def counted(num, den, order, expand=expand):
+            calls.append(order)
+            return expand(num, den, order)
 
-    monkeypatch.setattr(strata, "expand_rational", counted)
+        monkeypatch.setattr(module, "expand_rational", counted)
     for degree in (0, 1):
         for det in Determinant:
             clear_caches()
             calls.clear()
             moduli_series(spec_of(genus, degree, det, order))
             assert strata._stratum_table.cache_info().misses == 0
-            assert len(calls) <= 3
+            assert calls == [order], (degree, det)
     clear_caches()
 
 
 def test_moduli_series_makes_a_fixed_number_of_polynomial_products(monkeypatch):
-    # T(n) by recurrence, binomial powers in closed form: the products left
-    # are the non-fixed A*J, eta's J*J and (1-t^2)^2, and the resummed
-    # tail's denominator, whatever the genus
+    # T(n) by recurrence, binomial powers in closed form, the tail over
+    # P_t(BG)'s denominator: the products left are the non-fixed A*J and
+    # eta's J*J and (1-t^2)^2, whatever the genus
     calls = []
     mul = Poly.__mul__
 
@@ -366,9 +368,40 @@ def test_moduli_series_makes_a_fixed_number_of_polynomial_products(monkeypatch):
                 counts[genus, degree, det] = len(calls)
     monkeypatch.undo()
     clear_caches()
-    assert max(counts.values()) <= 4
     for (genus, degree, det), count in counts.items():
-        assert count == counts[3, degree, det]
+        assert count == (0 if det is FIXED else 3), (genus, degree, det)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 16, 32])
+def test_semistable_series_is_the_three_term_assembly(genus):
+    # the one fraction against P_t(BG) - resummed tail + correction fraction,
+    # three expansions, exactly, at every order
+    for degree in (0, 1):
+        for det in Determinant:
+            default = default_truncation(genus, degree)
+            for order in (1, 3, default, 1024):
+                clear_caches()
+                spec = spec_of(genus, degree, det, order)
+                bg = bg_series(spec.surface, det, order)
+                assembled = bg - unstable_sum_resummed(spec) + correction_sum(spec)
+                assert semistable_series(spec) == assembled, spec
+    clear_caches()
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_every_factor_shares_the_classifying_space_denominator(genus):
+    # D_BG = den(eta) (1-t^4) = den(T) (1-t^2)(1-t^4), so the Morse assembly
+    # is one fraction over D_BG
+    one_minus_t4 = Poly([1, 0, 0, 0, -1])
+    one_minus_t2 = Poly([1, 0, -1])
+    for degree in (0, 1):
+        for det in Determinant:
+            spec = spec_of(genus, degree, det)
+            den = spaces.bg_fraction(spec.surface, det)[1]
+            assert den == strata._critical_factor(spec)[1] * one_minus_t4
+            for n in range(2 * genus - 1):
+                t_den = strata._correction_factor(spec, n)[1]
+                assert den == t_den * one_minus_t2 * one_minus_t4, (spec, n)
 
 
 @pytest.mark.parametrize("genus", [*range(2, 13), 16, 32, 64])
