@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import BiSeries, Poly, TruncSeries, binomial, expand_rational
+from .series import Poly, TruncSeries, binomial, expand_rational
 from .spaces import Determinant, SurfaceSpec, sym_series
 
 __all__ = [
@@ -139,30 +139,26 @@ def bivariate_route(surface: SurfaceSpec, order: int) -> TruncSeries:
     x-coefficients c_m of the quotient follow the forward recurrence
 
         c_m = num_m + (1+t^2) c_{m-1} - (t^2-t^4) c_{m-2}
-                    - (t^4+t^6) c_{m-3} + t^6 c_{m-4}
+                    - (t^4+t^6) c_{m-3} + t^6 c_{m-4},
 
-    (:meth:`BiSeries.__truediv__`): at most four t-series products per
-    x-power up to x^{2g}, with entries truncated at t^order.
+    stepped here over t-series truncated at t^order: at most four products
+    per x-power up to x^{2g}.
     """
     g2 = 2 * surface.genus
-    # numerator: x^{a+4} coefficient is C(2g, a) t^{2g+2+a}
-    num_polys: list[Poly] = [Poly()] * 4 + [
-        Poly.monomial(g2 + 2 + a, binomial(g2, a)) for a in range(g2 - 3)
+    # the coefficients of c_{m-1}, ..., c_{m-4} in the recurrence
+    steps = [
+        Poly(cs).as_series(order)
+        for cs in ([1, 0, 1], [0, 0, -1, 0, 1], [0, 0, 0, 0, -1, 0, -1], [0] * 6 + [1])
     ]
-    num = BiSeries.of_polys(num_polys, g2, order)
-    # (1-x)(1-xt^2)(1-x^2 t^4) = 1 - (1+t^2) x + (t^2-t^4) x^2 + (t^4+t^6) x^3 - t^6 x^4
-    den = BiSeries.of_polys(
-        [
-            Poly.one(),
-            Poly([-1, 0, -1]),
-            Poly([0, 0, 1, 0, -1]),
-            Poly([0, 0, 0, 0, 1, 0, 1]),
-            Poly.monomial(6, -1),
-        ],
-        g2,
-        order,
-    )
-    return (num / den).x_coeff(g2)
+    c: list[TruncSeries] = []
+    for m in range(g2 + 1):
+        # numerator: x^{a+4} coefficient is C(2g, a) t^{2g+2+a}; x^0..x^3 are zero
+        num = Poly.monomial(g2 - 2 + m, binomial(g2, m - 4)) if m >= 4 else Poly()
+        acc = num.as_series(order)
+        for j, step in enumerate(steps[:m], 1):
+            acc = acc + c[m - j] * step
+        c.append(acc)
+    return c[g2]
 
 
 def binomial_extra(surface: SurfaceSpec, route: str, order: int) -> TruncSeries:

@@ -393,8 +393,8 @@ class BiSeries:
     """Series in an auxiliary variable x whose coefficients are series in t.
 
     The x^m coefficient sits at index m; all inner series share one t-order
-    (the constructor aligns to the smallest).  Used for MacDonald-style
-    coefficient extraction.
+    (the constructor aligns to the smallest).  Its one reader is the dense
+    Macdonald oracle :func:`higgsbetti.spaces.sym_generating`.
     """
 
     __slots__ = ("x_order", "t_order", "coeffs")
@@ -476,33 +476,6 @@ class BiSeries:
                 if not a.is_zero:
                     acc = acc + a * out[m - j]
             out.append((-acc) * c0)
-        return BiSeries(out)
-
-    def __truediv__(self, other: BiSeries) -> BiSeries:
-        """Quotient in x by a divisor whose x^0 coefficient is 1, by the
-        sparse forward recurrence of :func:`expand_rational` one level up:
-
-            c_m = self_m - sum_{j>=1, other_j != 0} other_j c_{m-j},
-
-        with t-series entries.  Equal to ``self * other.inv()``, at most
-        nnz(other) products per x-coefficient where the dense inverse and
-        product take O(x_order^2).
-        """
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        n = min(self.x_order, other.x_order)
-        t_ord = min(self.t_order, other.t_order)
-        if other.coeffs[0].truncated(t_ord) != TruncSeries.one(t_ord):
-            raise ValueError("the divisor's x^0 coefficient must be 1")
-        terms = [(j, b) for j, b in enumerate(other.coeffs[1 : n + 1], 1) if not b.is_zero]
-        out: list[TruncSeries] = []
-        for m in range(n + 1):
-            acc = self.coeffs[m].truncated(t_ord)
-            for j, b in terms:
-                if j > m:
-                    break
-                acc = acc - out[m - j] * b
-            out.append(acc)
         return BiSeries(out)
 
     def __repr__(self) -> str:

@@ -257,9 +257,9 @@ def _stratum_table(
     up to N - 2 mu_d, the part the shift keeps.  A stratum that
     :func:`_corrections` leaves out has eta itself as its row (the one
     tuple, longer than the shift keeps).  Readers place rows with
-    :func:`_total`.  The stratum-by-stratum sums, the stratum differences
-    and the stratum spaces read this table; the displayed series does not
-    need it.
+    :func:`_total` or :func:`_add_at`.  The stratum-by-stratum sums, the
+    stratum differences, the stratum spaces and the Kirwan scan read this
+    table; the displayed series does not need it.
     """
     eta = expand_rational(*_critical_factor(spec), spec.truncation).coeffs
     rows = []
@@ -426,10 +426,11 @@ def stratification_formula(spec: ModuliSpec) -> TruncSeries:
 def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
     """Generating function of dim H^k(X_d) - dim H^k(X_{d-1}).
 
-    Equals t^{2 mu_d} * (eta-term - T-term), the table's row d; the T-term
-    is empty once n_d < 0, and past the table (2 mu_d > N) the whole
-    difference lies above t^N.  Coefficients may be negative exactly when
-    Kirwan surjectivity fails (fixed determinant).
+    Equals t^{2 mu_d} * (eta-term - T-term), the table's row d as a series;
+    the T-term is empty once n_d < 0, and past the table (2 mu_d > N) the
+    whole difference lies above t^N.  Coefficients may be negative exactly
+    when Kirwan surjectivity fails (fixed determinant).  The stratum spaces
+    and the Kirwan scan read the row itself, so this is their reference.
     """
     if d < 1:
         raise ValueError("strata are indexed by d >= 1")
@@ -438,15 +439,13 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def _stratum_spaces(spec: ModuliSpec) -> tuple[TruncSeries, ...]:
-    # X_0 .. X_{max_stratum}, each X_d = X_{d-1} + stratum difference d:
-    # one difference per stratum, in a loop so a large order cannot hit the
-    # recursion limit.
+    # X_0 .. X_{max_stratum}: X_d is X_{d-1} with row d of the stratum table
+    # added in place on one running list
     spaces = [semistable_series(spec)]
-    for d, (keep, _) in enumerate(_stratum_table(spec)[1], 1):
-        # below t^{2 mu_d} X_d is X_{d-1}: share those coefficients, not copies
-        before = spaces[-1].coeffs
-        above = map(operator.add, before[keep:], stratum_difference(spec, d).coeffs[keep:])
-        x = TruncSeries._of(before[:keep] + tuple(above), spec.truncation)
+    running = list(spaces[0].coeffs)
+    for d, (shift, row) in enumerate(_stratum_table(spec)[1], 1):
+        _add_at(running, shift, row)
+        x = TruncSeries._of(running, spec.truncation)
         spaces.append(_require_betti(x, f"stratum space X_{d}"))
     return tuple(spaces)
 
@@ -480,17 +479,23 @@ class KirwanViolation(NamedTuple):
 def kirwan_monotonicity_check(spec: ModuliSpec) -> list[KirwanViolation]:
     """Check b_k(X_{d-1}) <= b_k(X_d) for every stratum attachment.
 
-    Surjectivity of the Kirwan map forces monotonicity, so non-fixed
-    determinant variants must return an empty list; fixed-determinant
-    variants are expected to produce witnesses (the anti-invariant classes
-    of the covers do not extend).
+    b_k(X_d) - b_k(X_{d-1}) is the t^{k - 2 mu_d} coefficient of row d of
+    the stratum table, so the scan reads the N + 1 - 2 mu_d entries of each
+    row that the shift keeps.  A witness is a negative entry; only then is
+    b_k(X_{d-1}) read from the stratum spaces.  Surjectivity of the Kirwan
+    map forces monotonicity, so non-fixed determinant variants must return
+    an empty list, building no stratum space; fixed-determinant variants
+    are expected to produce witnesses (the anti-invariant classes of the
+    covers do not extend).
     """
     violations = []
-    previous = stratum_space_series(spec, 0)
-    for d in range(1, max_stratum(spec) + 1):
-        current = stratum_space_series(spec, d)
-        for k, (before, after) in enumerate(zip(previous.coeffs, current.coeffs)):
-            if before > after:
-                violations.append(KirwanViolation(d, k, int(before), int(after)))
-        previous = current
+    for d, (shift, row) in enumerate(_stratum_table(spec)[1], 1):
+        steps = row[: spec.truncation + 1 - shift]
+        if min(steps) < 0:
+            before = stratum_space_series(spec, d - 1).coeffs
+            violations += (
+                KirwanViolation(d, k, int(before[k]), int(before[k] + step))
+                for k, step in enumerate(steps, shift)
+                if step < 0
+            )
     return violations

@@ -1,10 +1,13 @@
 """Closed-form routes: the rational expression for the degree-zero series,
 the four evaluations of the correction kernel, and the binomial identity."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
+from higgsbetti import cli
 from higgsbetti.closedforms import (
     ResidueLabel,
     binomial_extra,
@@ -15,9 +18,9 @@ from higgsbetti.closedforms import (
     residue_combination,
     residue_piece,
 )
-from higgsbetti.series import Poly, TruncSeries
+from higgsbetti.series import BiSeries, Poly, TruncSeries, binomial
 from higgsbetti.spaces import Determinant, SurfaceSpec
-from higgsbetti.strata import ModuliSpec, semistable_series
+from higgsbetti.strata import ModuliSpec, default_truncation, semistable_series
 
 G2 = SurfaceSpec(2)
 
@@ -119,6 +122,43 @@ def test_bivariate_route_takes_at_most_four_products_per_x_power(monkeypatch):
     monkeypatch.undo()
     assert 0 < len(products) <= 4 * (2 * genus + 1)
     assert kernel == lemma_direct(surface, 6 * genus + 10)
+
+
+def _dense_kernel(genus, order):
+    # the same quotient by the dense x-inverse and product
+    g2 = 2 * genus
+    num = BiSeries.of_polys(
+        [Poly()] * 4 + [Poly.monomial(g2 + 2 + a, binomial(g2, a)) for a in range(g2 - 3)],
+        g2,
+        order,
+    )
+    den = BiSeries.of_polys(
+        [Poly.one(), Poly([-1, 0, -1]), Poly([0, 0, 1, 0, -1]), Poly([0, 0, 0, 0, 1, 0, 1]),
+         Poly.monomial(6, -1)],
+        g2,
+        order,
+    )
+    return (num * den.inv()).x_coeff(g2)
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_bivariate_route_is_the_dense_extraction(genus):
+    default = default_truncation(genus, 0)
+    for order in (1, 2 * genus + 2, default, 3 * default):
+        assert bivariate_route(SurfaceSpec(genus), order) == _dense_kernel(genus, order), order
+
+
+def test_verify_makes_no_bivariate_series_operation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify reached a BiSeries operation")
+
+    for name in ("__init__", "of_polys", "one", "x_coeff", "__eq__", "__mul__", "inv"):
+        monkeypatch.setattr(BiSeries, name, refuse)
+    for degree in ("0", "1"):
+        for determinant in ("fixed", "nonfixed"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["verify", "-g", "3", "-d", degree, "--determinant", determinant])
+            assert code == 0, (degree, determinant)
 
 
 def test_binomial_extra_genus_two():

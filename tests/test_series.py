@@ -216,12 +216,6 @@ def test_x_coeff_beyond_truncation_is_loud():
         f.x_coeff(3)
 
 
-def test_bi_division_needs_a_unit_corner():
-    num = BiSeries.of_polys([Poly.one()], 2, 3)
-    with pytest.raises(ValueError):
-        num / BiSeries.of_polys([Poly([2]), Poly.one()], 2, 3)
-
-
 def test_bi_inv_needs_invertible_corner():
     f = BiSeries.of_polys([Poly([0, 1]), Poly.one()], 2, 3)
     with pytest.raises(ZeroConstantTermError):
@@ -317,15 +311,6 @@ def test_coefficients_are_int_when_integral_never_float(xs, ys, den, order):
         a.shift(2), a ** 2, den.as_series(order).inv(), expand_rational(p, den, order),
     ):
         assert_exact(series.coeffs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(bi_st, bi_st, st.integers(0, 4), st.integers(0, 6), st.integers(0, 6))
-def test_bi_division_matches_the_dense_inverse(fs, gs, x_order, t_num, t_den):
-    # the sparse x-recurrence against the dense inverse and product it replaces
-    num = BiSeries.of_polys([Poly(cs) for cs in fs], x_order, t_num)
-    den = BiSeries.of_polys([Poly.one()] + [Poly(cs) for cs in gs], x_order, t_den)
-    assert num / den == num * den.inv()
 
 
 @settings(max_examples=60, deadline=None)

@@ -257,21 +257,28 @@ def test_stratum_space_convention_and_stabilization():
 
 @pytest.mark.parametrize("det", [FIXED, NONFIXED])
 def test_stratum_spaces_are_built_incrementally(det, monkeypatch):
+    # the spaces add the table's rows in place, not stratum_difference's
+    # series; the Kirwan scan reads the rows and, only at a witness, the
+    # space before it
     spec = spec_of(5, 1, det)
     top = max_stratum(spec)
     clear_caches()
-    calls = []
-    difference = strata.stratum_difference
 
-    def counted(spec, d):
-        calls.append(d)
-        return difference(spec, d)
+    def unused(spec, d):
+        raise AssertionError("stratum_difference is a reference, not a step")
 
-    monkeypatch.setattr(strata, "stratum_difference", counted)
-    kirwan_monotonicity_check(spec)
-    assert stratum_space_series.cache_info().misses == top + 1
-    assert sorted(calls) == list(range(1, top + 1))  # one difference per stratum
+    monkeypatch.setattr(strata, "stratum_difference", unused)
+    violations = kirwan_monotonicity_check(spec)
+    if det is NONFIXED:
+        assert violations == []
+        assert stratum_space_series.cache_info().misses == 0
+        assert strata._stratum_spaces.cache_info().misses == 0
+    else:
+        witnessed = {v.d for v in violations}
+        assert witnessed  # one space lookup per stratum with a witness
+        assert stratum_space_series.cache_info().misses == len(witnessed)
     spaces_x = [stratum_space_series(spec, d) for d in range(top + 1)]
+    assert strata._stratum_table.cache_info().misses == 1
     monkeypatch.undo()
 
     clear_caches()
@@ -280,6 +287,29 @@ def test_stratum_spaces_are_built_incrementally(det, monkeypatch):
         if d:
             expected = expected + stratum_difference(spec, d)
         assert spaces_x[d] == expected
+
+
+def _pairwise_violations(spec):
+    # the oracle: every coefficient of X_{d-1} against X_d
+    out = []
+    for d in range(1, max_stratum(spec) + 1):
+        before, after = stratum_space_series(spec, d - 1), stratum_space_series(spec, d)
+        out += [
+            KirwanViolation(d, k, int(b), int(a))
+            for k, (b, a) in enumerate(zip(before.coeffs, after.coeffs))
+            if b > a
+        ]
+    return out
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_kirwan_row_scan_is_the_pairwise_comparison(genus):
+    for degree in (0, 1):
+        for det in Determinant:
+            default = default_truncation(genus, degree)
+            for order in (3, default, 2 * default):
+                spec = spec_of(genus, degree, det, order)
+                assert kirwan_monotonicity_check(spec) == _pairwise_violations(spec), spec
 
 
 @pytest.mark.parametrize("det", [FIXED, NONFIXED])
