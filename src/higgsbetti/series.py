@@ -186,10 +186,11 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __add__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
+        # own type first: ``Fraction``'s isinstance check is a Python-level call
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly([other])
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
@@ -205,12 +206,12 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
+        if isinstance(other, Poly):
+            n = len(self.coeffs) + len(other.coeffs) - 2
+            return Poly(_convolve(self.coeffs, other.coeffs, n))
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        n = len(self.coeffs) + len(other.coeffs) - 2
-        return Poly(_convolve(self.coeffs, other.coeffs, n))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -295,14 +296,16 @@ class TruncSeries:
         return TruncSeries._of([-c for c in self.coeffs], self.order)
 
     def __add__(self, other: TruncSeries | Scalar) -> TruncSeries:
+        # own type first: ``Fraction``'s isinstance check is a Python-level call
+        if isinstance(other, TruncSeries):
+            n = min(self.order, other.order)
+            cs = _exact_all(map(operator.add, self.coeffs[: n + 1], other.coeffs))
+            return TruncSeries._of(cs, n)
         if isinstance(other, (int, Fraction)):
             cs = list(self.coeffs)
             cs[0] = _exact(cs[0] + other)
             return TruncSeries._of(cs, self.order)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncSeries._of(_exact_all(map(operator.add, self.coeffs[: n + 1], other.coeffs)), n)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -313,12 +316,12 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other: TruncSeries | Scalar) -> TruncSeries:
+        if isinstance(other, TruncSeries):
+            n = min(self.order, other.order)
+            return TruncSeries._of(_exact_all(_convolve(self.coeffs, other.coeffs, n)), n)
         if isinstance(other, (int, Fraction)):
             return TruncSeries._of(_exact_all(c * other for c in self.coeffs), self.order)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncSeries._of(_exact_all(_convolve(self.coeffs, other.coeffs, n)), n)
+        return NotImplemented
 
     __rmul__ = __mul__
 

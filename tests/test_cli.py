@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -200,6 +201,22 @@ def test_internal_error_exits_two_without_traceback(capsys, monkeypatch, subcomm
     assert (code, out) == (2, "")
     assert err == "higgsbetti: error: semistable series: coefficient of t^6 is -992\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_non_integral_classifying_space_row_exits_two(capsys, monkeypatch, fmt):
+    # the strata dump's bg row is the one rendered series no _require_betti guards
+    original = cli.bg_series
+
+    def plus_half_t(surface, determinant, order):
+        return original(surface, determinant, order) + TruncSeries([0, Fraction(1, 2)], order)
+
+    monkeypatch.setattr(cli, "bg_series", plus_half_t)
+    code, out, err = run(
+        capsys, "strata", "-g", "2", "-d", "0", "--determinant", "fixed", "-f", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err == "higgsbetti: error: coefficient of t^1 is not an integer: 1/2\n"
 
 
 def test_usage_errors_exit_one(capsys):

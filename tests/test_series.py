@@ -1,5 +1,6 @@
 """Kernel tests: exact polynomial / truncated-series / bivariate arithmetic."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -356,3 +357,34 @@ def test_first_non_integer_matches_the_plain_scan(cs, nonnegative):
 def test_an_integral_sum_of_fractions_is_an_int():
     half = TruncSeries([Fraction(1, 2)], 0)
     assert type((half + half).coeffs[0]) is int
+
+
+def test_series_by_series_operators_make_no_abstract_isinstance_call():
+    # Fraction's metaclass is ABCMeta, whose __instancecheck__ is a Python
+    # call; an operand of the operator's own type never reaches that check
+    # (Fraction's own arithmetic on the coefficients makes such calls too)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__instancecheck__":
+            calls.append(frame.f_back.f_code.co_qualname)
+
+    a, b = TruncSeries([1, 2, 3]), TruncSeries([Fraction(1, 2), 0, 5])
+    p, q = Poly([1, -1]), Poly([0, 2, 1])
+    sys.setprofile(profile)
+    try:
+        results = (a + b, a * b, a - b, p + q, p * q, p - q)
+    finally:
+        sys.setprofile(None)
+    assert [c for c in calls if c.startswith(("Poly.", "TruncSeries."))] == []
+    assert results == (
+        TruncSeries([Fraction(3, 2), 2, 8]),
+        TruncSeries([Fraction(1, 2), 1, Fraction(13, 2)]),
+        TruncSeries([Fraction(1, 2), 2, -2]),
+        Poly([1, 1, 1]),
+        Poly([0, 2, -1, -1]),
+        Poly([1, -3, -1]),
+    )
+    # scalars still take the scalar path, and other types are refused
+    assert a + 1 == TruncSeries([2, 2, 3]) and 2 * p == Poly([2, -2])
+    assert a.__add__("x") is NotImplemented and p.__mul__("x") is NotImplemented
