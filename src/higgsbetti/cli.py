@@ -30,6 +30,9 @@ MAX_GENUS = 64
 MAX_TRUNCATION = 1024
 
 PROG = "higgsbetti"
+# the determinant by its value: a dict lookup, where Determinant(value) runs
+# the Enum machinery in Python
+_DETERMINANTS = {det._value_: det for det in Determinant}
 
 
 class _Option(NamedTuple):
@@ -67,7 +70,7 @@ _OPTIONS = (
         ("--determinant",),
         "determinant",
         "fixed or nonfixed determinant",
-        choices=tuple(det.value for det in Determinant),
+        choices=tuple(_DETERMINANTS),
         required=True,
     ),
     _Option(
@@ -159,12 +162,18 @@ def _option(arg: str, flags: dict[str, _Option], subcommand: str | None):
 
 def _kinds(args: list[str], flags: dict[str, _Option], subcommand: str | None) -> list:
     """``_option`` of each argument; the first ``--`` stays the marker
-    ``"--"`` and every argument after it is plain."""
+    ``"--"`` and every argument after it is plain.  Before the subcommand
+    (``subcommand`` is ``None``) the list stops at the first plain
+    argument, the subcommand itself: what follows it is read with the
+    subcommand's flags."""
     kinds: list = []
     for k, arg in enumerate(args):
         if arg == "--":
             return kinds + ["--"] + [None] * (len(args) - k - 1)
-        kinds.append(_option(arg, flags, subcommand))
+        kind = _option(arg, flags, subcommand)
+        kinds.append(kind)
+        if kind is None and subcommand is None:
+            break
     return kinds
 
 
@@ -285,7 +294,7 @@ def _main(argv: Sequence[str] | None) -> int:
     if truncation is None:
         truncation = default_truncation(genus, degree)
     try:
-        spec = ModuliSpec(genus, degree, Determinant(args["determinant"]), truncation)
+        spec = ModuliSpec(genus, degree, _DETERMINANTS[args["determinant"]], truncation)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

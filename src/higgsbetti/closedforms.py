@@ -56,6 +56,13 @@ class ResidueLabel(Enum):
     SIMPLE_POLE_X_MINUS_INV_T2 = "simple-pole-x=-1/t^2"
     DOUBLE_POLE_X_INV_T2 = "double-pole-x=1/t^2"
 
+    # the identity hash, in C, as on ``Determinant``: the pieces' cache is keyed by label
+    __hash__ = object.__hash__
+
+
+# the pieces in order, iterated without the Enum class's Python-level __iter__
+_RESIDUE_LABELS = tuple(ResidueLabel)
+
 
 @lru_cache(maxsize=None)
 def _residue_fraction(genus: int, label: ResidueLabel) -> tuple[Poly, Poly]:
@@ -99,7 +106,7 @@ def residue_piece(surface: SurfaceSpec, label: ResidueLabel, order: int) -> Trun
 def residue_combination(surface: SurfaceSpec, order: int) -> TruncSeries:
     """The residue at x = 0 of f(x): contour value minus the residues at the
     three finite poles x = 1, x = -1/t^2 and x = 1/t^2."""
-    contour, *poles = (residue_piece(surface, label, order) for label in ResidueLabel)
+    contour, *poles = (residue_piece(surface, label, order) for label in _RESIDUE_LABELS)
     return contour - sum(poles, TruncSeries.zero(order))
 
 
@@ -120,7 +127,7 @@ def lemma_closed(surface: SurfaceSpec, order: int) -> TruncSeries:
     expanded once.  Cached: the kernel check and the degree-zero closed form
     both read it."""
     num, den = Poly(), Poly.one()
-    for label in ResidueLabel:
+    for label in _RESIDUE_LABELS:
         piece_num, piece_den = _residue_fraction(surface.genus, label)
         if label is not ResidueLabel.CONTOUR:
             piece_num = -piece_num

@@ -76,6 +76,15 @@ def _div(x: Scalar, d: Scalar) -> Scalar:
     return _exact(x / d)
 
 
+def _div_all(cs: Sequence[Scalar], d: Scalar) -> list[Scalar]:
+    """:func:`_div` of each of ``cs`` by ``d``; in one pass in C when every
+    one is an ``int`` multiple of an ``int`` ``d``, the common case."""
+    if type(d) is int and operator.countOf(map(type, cs), int) == len(cs):
+        if not any(map(d.__rmod__, cs)):
+            return list(map(d.__rfloordiv__, cs))
+    return [_div(c, d) for c in cs]
+
+
 def first_non_integer(series: TruncSeries, *, nonnegative: bool) -> int | None:
     """Smallest k whose t^k coefficient is not an integer or, when
     ``nonnegative``, is negative; ``None`` if every coefficient passes.
@@ -139,7 +148,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = _exact_all(coeffs)
+        cs = list(coeffs)
+        if operator.countOf(map(type, cs), int) != len(cs):  # all ``int`` is the common case
+            cs = [c if type(c) is int else _exact(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Scalar, ...] = tuple(cs)
@@ -377,7 +388,7 @@ def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
     d0 = den.constant_term
     if d0 == 0:
         raise ZeroConstantTermError("denominator vanishes at t = 0")
-    terms = [(j, _div(dj, d0)) for j, dj in enumerate(den.coeffs[1 : order + 1], 1) if dj]
+    terms = [(j, qj) for j, qj in enumerate(_div_all(den.coeffs[1 : order + 1], d0), 1) if qj]
     a = num.coeffs
     out: list[Scalar] = []
     for k in range(order + 1):
@@ -388,7 +399,7 @@ def expand_rational(num: Poly, den: Poly, order: int) -> TruncSeries:
             acc -= qj * out[k - j]
         out.append(acc if type(acc) is int else _exact(acc))
     if d0 != 1:
-        out = [_div(c, d0) for c in out]
+        out = _div_all(out, d0)
     return TruncSeries._of(out, order)
 
 

@@ -41,6 +41,11 @@ class Determinant(Enum):
     FIXED = "fixed"
     NONFIXED = "nonfixed"
 
+    # members are singletons compared by identity, so the identity hash, in
+    # C, agrees with equality; ``Enum.__hash__`` is a Python-level call on
+    # every cache lookup keyed by a spec
+    __hash__ = object.__hash__
+
 
 class CoverRangeError(ValueError):
     """Covered symmetric products, and the correction terms T(n) built from
@@ -63,7 +68,7 @@ class SurfaceSpec(_SurfaceFields):
     def __new__(cls, genus: int) -> SurfaceSpec:
         if genus < 2:
             raise ValueError("genus must be at least 2")
-        return super().__new__(cls, genus)
+        return tuple.__new__(cls, (genus,))  # the NamedTuple's own __new__ is a Python call
 
 
 def binomial_poly(n: int, step: int) -> Poly:

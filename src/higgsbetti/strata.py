@@ -21,8 +21,10 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
+from . import spaces
 from .series import Poly, TruncSeries, binomial, expand_rational, first_non_integer
 from .spaces import (
     CoverRangeError,
@@ -104,7 +106,8 @@ class ModuliSpec(_ModuliFields):
             raise ValueError("degree must be 0 or 1")
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
-        return super().__new__(cls, genus, degree, determinant, truncation)
+        # the NamedTuple's own __new__ is a Python call
+        return tuple.__new__(cls, (genus, degree, determinant, truncation))
 
     @classmethod
     def default(cls, genus: int, degree: int, determinant: Determinant) -> ModuliSpec:
@@ -127,9 +130,9 @@ def mu_index(spec: ModuliSpec, d: int) -> StratumIndex:
     """mu_d = g - 1 + 2d - d_E and n_d = 2g - 2 + d_E - 2d for stratum d >= 1."""
     if d < 1:
         raise ValueError("strata are indexed by d >= 1")
-    return StratumIndex(
-        spec.genus - 1 + 2 * d - spec.degree,
-        2 * spec.genus - 2 + spec.degree - 2 * d,
+    return tuple.__new__(
+        StratumIndex,
+        (spec.genus - 1 + 2 * d - spec.degree, 2 * spec.genus - 2 + spec.degree - 2 * d),
     )
 
 
@@ -147,9 +150,10 @@ def max_stratum(spec: ModuliSpec) -> int:
 @lru_cache(maxsize=None)
 def _jacobian_bu1_factor(genus: int) -> tuple[Poly, Poly]:
     """One Jacobian and one BU(1) factor, (1+t)^{2g}/(1-t^2), as numerator
-    and denominator, the numerator by :func:`binomial_poly`.  Cached: eta
-    and the recurrence of every non-fixed T(n) read it, and it depends on
-    the genus alone."""
+    and denominator, the numerator by :func:`binomial_poly`.  Cached: eta,
+    the displayed series' summed non-fixed T(n) numerators and the
+    recurrence of every non-fixed T(n) read it, and it depends on the genus
+    alone."""
     return binomial_poly(2 * genus, 1), _ONE_MINUS_T2
 
 
@@ -235,10 +239,11 @@ def _corrections(spec: ModuliSpec) -> tuple[tuple[StratumIndex, Poly, Poly], ...
     """Index data and T(n_d) as numerator and denominator, for every stratum
     d = 1..max_stratum with n_d >= 0.
 
-    This is the one place that says which strata carry a correction.  n_d
-    falls with d, so they are the first ``len`` strata.  The displayed
-    series (through :func:`_correction_numerator`), the stratum table and
-    the invariant part read it, so each T(n_d) is built once per spec.
+    This is the one place that builds T(n_d).  n_d falls with d, so the
+    corrected strata are the first ``len``.  The stratum table, the
+    invariant part and :func:`correction_sum` read it, so each T(n_d) is
+    built once per spec; the displayed series sums the same numerators
+    without it (:func:`_parity_correction_numerator`).
     """
     indices = (mu_index(spec, d) for d in range(1, max_stratum(spec) + 1))
     return tuple((idx, *_correction_factor(spec, idx.n)) for idx in indices if idx.n >= 0)
@@ -278,10 +283,11 @@ def _moduli_part(spec: ModuliSpec, series: TruncSeries) -> TruncSeries:
     gauge group acts with finite stabilizers, so the equivariant and
     ordinary series coincide; for non-fixed determinant the constant central
     U(1) contributes a global BU(1) factor 1/(1-t^2), divided out here, the
-    one place, as (1-t^2) S = S - t^2 S.
+    one place, as (1-t^2) S = S - t^2 S, in one list.
     """
     if spec.determinant is Determinant.NONFIXED and spec.degree == 1:
-        return series - series.shift(2)
+        cs = series.coeffs
+        return TruncSeries._of([*cs[:2], *map(operator.sub, cs[2:], cs)], series.order)
     return series
 
 
@@ -335,8 +341,45 @@ def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
 def _correction_numerator(spec: ModuliSpec) -> Poly:
     """Sum of t^{2 mu_d} times the numerator of T(n_d) over the strata with
     n_d >= 0, the numerator of :func:`correction_sum` over the denominator
-    the T(n) share."""
+    the T(n) share, row by row: the reference for
+    :func:`_parity_correction_numerator`."""
     return _shifted_sum((2 * idx.mu, num) for idx, num, _ in _corrections(spec))
+
+
+def _parity_correction_numerator(spec: ModuliSpec) -> Sequence[int]:
+    """:func:`_correction_numerator` in one pass, with no T(n) built.
+
+    Macdonald's enumeration gives b_k(S^n M) = s_{min(k, 2n-k)}, where
+    s_k = sum_{a <= k, a = k mod 2} C(2g, a) is a parity sum, so P_t(S^n M)
+    is s_0 .. s_n .. s_0: two slice-adds at t^{2 mu_d} per stratum.  The
+    fixed-determinant cover adds its anti-invariant classes at
+    t^{2 mu_d + n_d}; the non-fixed T(n) share the factor J = (1+t)^{2g},
+    so the sum is multiplied by it once.  The strata are those of
+    :func:`_corrections`, read through :func:`mu_index`.
+    """
+    g2 = 2 * spec.genus
+    sums = [1, g2]  # s_0 .. s_{2g-2}
+    for k in range(2, g2 - 1):
+        sums.append(sums[k - 2] + comb(g2, k))
+    mirror = sums[::-1]  # s_{n-1} .. s_0 is mirror[top - n:]
+    top = len(sums)
+    fixed = spec.determinant is Determinant.FIXED
+    surface = spec.surface if fixed else None
+    out: list[int] = []
+    for d in range(1, max_stratum(spec) + 1):
+        mu, n = mu_index(spec, d)
+        if n < 0:
+            break
+        low, mid, end = 2 * mu, 2 * mu + n + 1, 2 * mu + 2 * n + 1
+        if len(out) < end:
+            out += [0] * (end - len(out))
+        out[low:mid] = map(operator.add, out[low:mid], sums)
+        out[mid:end] = map(operator.add, out[mid:end], mirror[top - n :])
+        if fixed:
+            out[mid - 1] += spaces.anti_invariant_dim(surface, n)
+    if fixed:
+        return out
+    return (Poly(out) * _jacobian_bu1_factor(spec.genus)[0]).coeffs
 
 
 def correction_sum(spec: ModuliSpec) -> TruncSeries:
@@ -345,8 +388,8 @@ def correction_sum(spec: ModuliSpec) -> TruncSeries:
 
     One fraction: the shifted numerators summed over the denominator the
     T(n) share, expanded once.  :func:`semistable_series` puts the same
-    numerator over the classifying space's denominator instead, so this is
-    the term-by-term reference for it.
+    numerator, summed from parity sums, over the classifying space's
+    denominator instead, so this is the term-by-term reference for it.
     """
     corrections = _corrections(spec)
     if not corrections:
@@ -367,16 +410,19 @@ def semistable_series(spec: ModuliSpec) -> TruncSeries:
 
         [A - t^{2 mu_1} num(eta) + (1-t^2)(1-t^4) sum_d t^{2 mu_d} num(T(n_d))] / D,
 
-    expanded once; no per-stratum series is built.  Coefficients must come
-    out nonnegative integers.  Cached: the displayed series, the stratum
-    spaces, the invariant part and the checks all start from it.
+    expanded once; no per-stratum series is built, and the sum of the
+    num(T(n_d)) comes in one pass from Macdonald's parity sums
+    (:func:`_parity_correction_numerator`), no T(n) built either.
+    Coefficients must come out nonnegative integers.  Cached: the displayed
+    series, the stratum spaces, the invariant part and the checks all start
+    from it.
     """
     order = spec.truncation
     bg_num, den = bg_fraction(spec.surface, spec.determinant)
     num = list(bg_num.coeffs[: order + 1])
     num += [0] * (order + 1 - len(num))
     _add_at(num, 2 * mu_index(spec, 1).mu, _critical_factor(spec)[0].coeffs, operator.sub)
-    corrections = _correction_numerator(spec).coeffs
+    corrections = _parity_correction_numerator(spec)
     for shift, op in _TIMES_ONE_MINUS_T2_T4:
         _add_at(num, shift, corrections, op)
     return _require_betti(expand_rational(Poly(num), den, order), "semistable series")
@@ -441,13 +487,13 @@ def stratum_difference(spec: ModuliSpec, d: int) -> TruncSeries:
 def _stratum_spaces(spec: ModuliSpec) -> tuple[TruncSeries, ...]:
     # X_0 .. X_{max_stratum}: X_d is X_{d-1} with row d of the stratum table
     # added in place on one running list
-    spaces = [semistable_series(spec)]
-    running = list(spaces[0].coeffs)
+    xs = [semistable_series(spec)]
+    running = list(xs[0].coeffs)
     for d, (shift, row) in enumerate(_stratum_table(spec)[1], 1):
         _add_at(running, shift, row)
         x = TruncSeries._of(running, spec.truncation)
-        spaces.append(_require_betti(x, f"stratum space X_{d}"))
-    return tuple(spaces)
+        xs.append(_require_betti(x, f"stratum space X_{d}"))
+    return tuple(xs)
 
 
 @lru_cache(maxsize=None)
@@ -463,8 +509,8 @@ def stratum_space_series(spec: ModuliSpec, d: int) -> TruncSeries:
         raise ValueError("stratum spaces are indexed by d >= 0")
     if d == 0:
         return semistable_series(spec)  # needs no stratum
-    spaces = _stratum_spaces(spec)
-    return spaces[min(d, len(spaces) - 1)]
+    xs = _stratum_spaces(spec)
+    return xs[min(d, len(xs) - 1)]
 
 
 class KirwanViolation(NamedTuple):

@@ -1,11 +1,13 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import enum
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from higgsbetti import cli, spaces, strata, verify
+from higgsbetti import cli, closedforms, spaces, strata, verify
 from higgsbetti.series import TruncSeries
 
 
@@ -296,3 +298,37 @@ def test_strata_csv_header(capsys):
         "strata", "-g", "2", "--degree", "1", "--determinant", "fixed", "--format", "csv",
     )
     assert out.splitlines()[0] == "d,k,b_k"
+
+
+@pytest.mark.parametrize("determinant", ["fixed", "nonfixed"])
+@pytest.mark.parametrize("degree", ["0", "1"])
+@pytest.mark.parametrize("subcommand", ["betti", "verify", "strata"])
+def test_request_runs_no_enum_frame_and_reads_each_argument_once(
+    capsys, subcommand, degree, determinant
+):
+    # a cold request pays for every Python frame it runs: no Enum machinery
+    # (lookup by value, hashing, iteration) and one classification per argument
+    argv = [subcommand, "-g", "3", "-d", degree, "--determinant", determinant, "-f", "json"]
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    def clear_caches():
+        for module in (spaces, strata, closedforms, verify):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    clear_caches()
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+        clear_caches()
+    capsys.readouterr()
+    assert code == 0
+    assert [c.co_name for c in codes if c.co_filename == enum.__file__] == []
+    assert 0 < codes.count(cli._option.__code__) <= len(argv)

@@ -254,16 +254,18 @@ def test_correction_factor_is_caught_in_degree_zero(determinant, monkeypatch):
     assert_fail_line(0, determinant)
 
 
-# both degree-1 routes, the displayed series and the stratum-by-stratum
-# stratification_formula, read _correction_factor, so they shift alike
-@pytest.mark.xfail(
-    strict=True,
-    reason="degree 1 has no route independent of the stratified one (ROADMAP item 1)",
-)
+# the displayed series sums the T(n) numerators from Macdonald's parity sums
+# and reads no _correction_factor; the stratum table, and so the
+# stratum-by-stratum stratification_formula and the stratum spaces, do.  The
+# two degree-1 routes still share the strata code (ROADMAP item 1).
 @pytest.mark.parametrize("determinant", DETERMINANTS)
 def test_correction_factor_is_caught_in_degree_one(determinant, monkeypatch):
     correction_plus_t_n_plus_1(monkeypatch)
-    assert_fail_line(1, determinant)
+    code, out, _ = run_verify(1, determinant)
+    assert code == 2
+    fails = [line.split(None, 2) for line in out.splitlines() if line.startswith("FAIL")]
+    assert [name for _, name, _ in fails] == ["telescoping", "moduli-route-agreement"], out
+    assert all(detail.startswith("first mismatch at t^10:") for _, _, detail in fails), out
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])

@@ -377,9 +377,10 @@ def test_moduli_series_expands_one_fraction_and_builds_no_stratum_table(
 
 
 def test_moduli_series_makes_a_fixed_number_of_polynomial_products(monkeypatch):
-    # T(n) by recurrence, binomial powers in closed form, the tail over
-    # P_t(BG)'s denominator: the products left are the non-fixed A*J and
-    # eta's J*J and (1-t^2)^2, whatever the genus
+    # the T(n) numerators summed from parity sums, binomial powers in closed
+    # form, the tail over P_t(BG)'s denominator: the products left are the
+    # non-fixed A*J, eta's J*J and (1-t^2)^2, and J times the summed
+    # numerators, whatever the genus
     calls = []
     mul = Poly.__mul__
 
@@ -399,7 +400,7 @@ def test_moduli_series_makes_a_fixed_number_of_polynomial_products(monkeypatch):
     monkeypatch.undo()
     clear_caches()
     for (genus, degree, det), count in counts.items():
-        assert count == (0 if det is FIXED else 3), (genus, degree, det)
+        assert count == (0 if det is FIXED else 4), (genus, degree, det)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 16, 32])
@@ -443,6 +444,31 @@ def test_nonfixed_correction_numerators_match_the_products(genus):
         num, den = strata._correction_factor(spec, n)
         assert num == sym_poly(spec.surface, n) * jacobian, n
         assert den == Poly([1, 0, -1])
+
+
+@pytest.mark.parametrize("genus", range(2, 17))
+def test_parity_sum_numerator_is_the_per_row_shifted_sum(genus):
+    # the displayed series' one-pass sum against sum_d t^{2 mu_d} num T(n_d)
+    # from the T(n) the stratum table reads, exactly, as polynomials
+    for degree in (0, 1):
+        for det in Determinant:
+            for order in (3, default_truncation(genus, degree)):
+                spec = spec_of(genus, degree, det, order)
+                summed = Poly(strata._parity_correction_numerator(spec))
+                assert summed == strata._correction_numerator(spec), spec
+
+
+@pytest.mark.parametrize("genus", range(2, 17))
+def test_parity_sums_lay_out_each_symmetric_product(genus, monkeypatch):
+    # one stratum at t^0 with n_d = n and no anti-invariant classes: the sum
+    # is the parity-sum P_t(S^n M) itself
+    spec = spec_of(genus, 0, FIXED)
+    monkeypatch.setattr(strata, "max_stratum", lambda spec: 1)
+    monkeypatch.setattr(spaces, "anti_invariant_dim", lambda surface, n: 0)
+    for n in range(2 * genus - 1):
+        monkeypatch.setattr(strata, "mu_index", lambda spec, d, n=n: strata.StratumIndex(0, n))
+        laid_out = strata._parity_correction_numerator(spec)
+        assert Poly(laid_out) == sym_poly(spec.surface, n), n
 
 
 @pytest.mark.parametrize("det", [FIXED, NONFIXED])
