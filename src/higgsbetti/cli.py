@@ -7,6 +7,7 @@ suite), ``strata`` (series of every stratum space).  Exit codes: 0 success,
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -315,13 +316,17 @@ def _main(argv: Sequence[str] | None) -> int:
         )
     text = render(report, args["format"])
     output = args["output"]
-    if output is None:
-        sys.stdout.write(text)
-        return code
     try:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
+        if output is None:  # what stays buffered would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            output = "stdout"
         raise _UsageError(f"cannot write {output}: {exc.strerror}") from None
     return code
 

@@ -23,7 +23,6 @@ integral.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .series import Poly, TruncSeries, binomial, expand_rational
@@ -184,8 +183,8 @@ def binomial_extra(surface: SurfaceSpec, route: str, order: int) -> TruncSeries:
             total = total + Poly.monomial(2 * d, binomial(2 * g - 2, 2 * g - 2 * d - 2))
         poly = Poly.monomial(4 * g - 4, mass) * total
     elif route == "closed":
-        even_half = _ONE_PLUS_T ** (2 * g - 2) + _ONE_MINUS_T ** (2 * g - 2) - 2
-        poly = Poly.monomial(4 * g - 4, Fraction(mass, 2)) * even_half
+        even = _ONE_PLUS_T ** (2 * g - 2) + _ONE_MINUS_T ** (2 * g - 2) - 2  # all even
+        poly = Poly.monomial(4 * g - 4, mass) * Poly([c // 2 for c in even.coeffs])
     else:
         raise ValueError("route must be 'direct' or 'closed'")
     return poly.as_series(order)

@@ -34,7 +34,6 @@ from .spaces import (
     bg_series,
     binomial_poly,
     sym_cover_poly,
-    sym_poly,
 )
 
 __all__ = [
@@ -235,21 +234,6 @@ def _correction_factor(spec: ModuliSpec, n: int) -> tuple[Poly, Poly]:
 
 
 @lru_cache(maxsize=None)
-def _corrections(spec: ModuliSpec) -> tuple[tuple[StratumIndex, Poly, Poly], ...]:
-    """Index data and T(n_d) as numerator and denominator, for every stratum
-    d = 1..max_stratum with n_d >= 0.
-
-    This is the one place that builds T(n_d).  n_d falls with d, so the
-    corrected strata are the first ``len``.  The stratum table, the
-    invariant part and :func:`correction_sum` read it, so each T(n_d) is
-    built once per spec; the displayed series sums the same numerators
-    without it (:func:`_parity_correction_numerator`).
-    """
-    indices = (mu_index(spec, d) for d in range(1, max_stratum(spec) + 1))
-    return tuple((idx, *_correction_factor(spec, idx.n)) for idx in indices if idx.n >= 0)
-
-
-@lru_cache(maxsize=None)
 def _stratum_table(
     spec: ModuliSpec,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -258,20 +242,22 @@ def _stratum_table(
     up to t^{N - 2 mu_d}), the term t^{2 mu_d} (eta_d - T(n_d)) the stratum
     adds to the Morse recursion.
 
-    eta_d is the same series for every d and is expanded once; T(n_d) only
-    up to N - 2 mu_d, the part the shift keeps.  A stratum that
-    :func:`_corrections` leaves out has eta itself as its row (the one
-    tuple, longer than the shift keeps).  Readers place rows with
-    :func:`_total` or :func:`_add_at`.  The stratum-by-stratum sums, the
-    stratum differences, the stratum spaces and the Kirwan scan read this
-    table; the displayed series does not need it.
+    The one place that builds T(n_d) (:func:`_correction_factor`), only up
+    to N - 2 mu_d, the part the shift keeps.  eta_d, the same for every d,
+    is expanded once and is the whole row of a stratum with n_d < 0 (the
+    one tuple, longer than the shift keeps).  Readers place rows with
+    :func:`_total` or :func:`_add_at`; the displayed series does not read
+    the table.
     """
     eta = expand_rational(*_critical_factor(spec), spec.truncation).coeffs
     rows = []
-    for idx, num, den in _corrections(spec):
-        correction = expand_rational(num, den, spec.truncation - 2 * idx.mu).coeffs
-        rows.append((2 * idx.mu, tuple(map(operator.sub, eta, correction))))
-    rows += ((2 * mu_index(spec, d).mu, eta) for d in range(len(rows) + 1, max_stratum(spec) + 1))
+    for d in range(1, max_stratum(spec) + 1):
+        mu, n = mu_index(spec, d)
+        row = eta
+        if n >= 0:
+            correction = expand_rational(*_correction_factor(spec, n), spec.truncation - 2 * mu)
+            row = tuple(map(operator.sub, eta, correction.coeffs))
+        rows.append((2 * mu, row))
     return eta, tuple(rows)
 
 
@@ -307,16 +293,6 @@ def _total(spec: ModuliSpec, rows: Iterable[tuple[int, Sequence[int]]]) -> Trunc
     return TruncSeries._of(out, spec.truncation)
 
 
-def _shifted_sum(terms: Iterable[tuple[int, Poly]]) -> Poly:
-    """The polynomial sum of t^shift p over the (shift, p) terms,
-    accumulated into one list."""
-    terms = [(shift, p.coeffs) for shift, p in terms]
-    out: list[int] = [0] * max((shift + len(cs) for shift, cs in terms), default=0)
-    for shift, coeffs in terms:
-        _add_at(out, shift, coeffs)
-    return Poly(out)
-
-
 def unstable_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over all strata of t^{2 mu_d} times the critical factor eta_d:
     (1+t)^{2g}/(1-t^2) for fixed determinant, (1+t)^{4g}/(1-t^2)^2 for
@@ -338,24 +314,16 @@ def unstable_sum_resummed(spec: ModuliSpec) -> TruncSeries:
     return tail.shift(2 * mu_index(spec, 1).mu)
 
 
-def _correction_numerator(spec: ModuliSpec) -> Poly:
-    """Sum of t^{2 mu_d} times the numerator of T(n_d) over the strata with
-    n_d >= 0, the numerator of :func:`correction_sum` over the denominator
-    the T(n) share, row by row: the reference for
-    :func:`_parity_correction_numerator`."""
-    return _shifted_sum((2 * idx.mu, num) for idx, num, _ in _corrections(spec))
-
-
 def _parity_correction_numerator(spec: ModuliSpec) -> Sequence[int]:
-    """:func:`_correction_numerator` in one pass, with no T(n) built.
+    """Sum of t^{2 mu_d} times the numerator of T(n_d) over the strata with
+    n_d >= 0, in one pass, with no T(n) built.
 
     Macdonald's enumeration gives b_k(S^n M) = s_{min(k, 2n-k)}, where
     s_k = sum_{a <= k, a = k mod 2} C(2g, a) is a parity sum, so P_t(S^n M)
     is s_0 .. s_n .. s_0: two slice-adds at t^{2 mu_d} per stratum.  The
     fixed-determinant cover adds its anti-invariant classes at
     t^{2 mu_d + n_d}; the non-fixed T(n) share the factor J = (1+t)^{2g},
-    so the sum is multiplied by it once.  The strata are those of
-    :func:`_corrections`, read through :func:`mu_index`.
+    so the sum is multiplied by it once.
     """
     g2 = 2 * spec.genus
     sums = [1, g2]  # s_0 .. s_{2g-2}
@@ -386,15 +354,11 @@ def correction_sum(spec: ModuliSpec) -> TruncSeries:
     """Sum over the strata with n_d >= 0 (d = 1..g-1, where the Morse index
     jumps) of t^{2 mu_d} times the correction factor T(n_d).
 
-    One fraction: the shifted numerators summed over the denominator the
-    T(n) share, expanded once.  :func:`semistable_series` puts the same
-    numerator, summed from parity sums, over the classifying space's
-    denominator instead, so this is the term-by-term reference for it.
+    Row d of the stratum table is t^{2 mu_d} (eta_d - T(n_d)), so this is
+    :func:`unstable_sum` minus the rows: the term-by-term reference for the
+    parity-sum numerator of :func:`semistable_series`.
     """
-    corrections = _corrections(spec)
-    if not corrections:
-        return TruncSeries.zero(spec.truncation)
-    return expand_rational(_correction_numerator(spec), corrections[0][2], spec.truncation)
+    return unstable_sum(spec) - _total(spec, _stratum_table(spec)[1])
 
 
 @lru_cache(maxsize=None)
@@ -433,19 +397,21 @@ def invariant_part_series(spec: ModuliSpec) -> TruncSeries:
     under the 2-torsion action (fixed determinant only).
 
     The semistable series minus the anti-invariant classes: for each stratum
-    with a correction, t^{2 mu_d} times the cover of S^{n_d} M (T(n_d), a
-    polynomial for fixed determinant) minus S^{n_d} M itself.  Bounded above
-    by the classifying-space series coefficientwise.
+    with n_d >= 0, the cover of S^{n_d} M (T(n_d) for fixed determinant)
+    minus S^{n_d} M itself, which is :func:`spaces.anti_invariant_dim`
+    classes in degree n_d, placed at t^{2 mu_d + n_d}.  Bounded above by the
+    classifying-space series coefficientwise.
     """
     if spec.determinant is not Determinant.FIXED:
         raise ValueError("the invariant-part series is a fixed-determinant object")
-    anti_invariant = _shifted_sum(
-        (2 * idx.mu, cover - sym_poly(spec.surface, idx.n))
-        for idx, cover, _ in _corrections(spec)
-    )
+    surface = spec.surface
+    anti_invariant = []
+    for d in range(1, max_stratum(spec) + 1):
+        mu, n = mu_index(spec, d)
+        if n >= 0:
+            anti_invariant.append((2 * mu + n, (spaces.anti_invariant_dim(surface, n),)))
     return _require_betti(
-        semistable_series(spec) - anti_invariant.as_series(spec.truncation),
-        "invariant-part series",
+        semistable_series(spec) - _total(spec, anti_invariant), "invariant-part series"
     )
 
 

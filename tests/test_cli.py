@@ -2,8 +2,11 @@
 
 import enum
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,26 @@ def test_output_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert f"higgsbetti: error: cannot write {target}: " in err
     assert "Traceback" not in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_full_stdout_is_a_clean_error(unbuffered):
+    # buffered, the write succeeds and the flush fails; either way nothing
+    # is left to fail again at interpreter shutdown
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    argv = ["betti", "-g", "3", "-d", "0", "--determinant", "fixed"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "higgsbetti.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    assert done.returncode == 1
+    assert done.stderr.endswith(
+        "higgsbetti: error: cannot write stdout: No space left on device\n"
+    ), done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_verify_passes_degree_zero(capsys):

@@ -51,8 +51,7 @@ def assert_fail_line(degree, determinant):
 
 def sym_poly_plus_t(monkeypatch):
     real = spaces.sym_poly
-    for module in (spaces, strata):
-        monkeypatch.setattr(module, "sym_poly", lambda surface, n: real(surface, n) + Poly([0, 1]))
+    monkeypatch.setattr(spaces, "sym_poly", lambda surface, n: real(surface, n) + Poly([0, 1]))
 
 
 def bg_seen_by_strata_plus_t7(monkeypatch):
@@ -167,6 +166,24 @@ def correction_plus_t_n_plus_1(monkeypatch):
         return num + Poly.monomial(n + 1) * den, den
 
     monkeypatch.setattr(strata, "_correction_factor", sabotaged)
+
+
+# every perturbation above, the rows of tests/coverage_matrix.json
+PERTURBATIONS = (
+    sym_poly_plus_t,
+    bg_seen_by_strata_plus_t7,
+    mu_2_plus_1,
+    residue_contour_plus_t8,
+    residue_x1_piece_plus_t8,
+    residue_x_minus_inv_t2_piece_plus_t8,
+    residue_x_inv_t2_piece_plus_t8,
+    bg_seen_by_verify_plus_t7,
+    anti_invariant_dim_plus_1,
+    eta_plus_t9,
+    jacobian_bu1_factor_plus_t9,
+    binomial_extra_plus_t9,
+    correction_plus_t_n_plus_1,
+)
 
 
 @pytest.mark.parametrize("determinant", DETERMINANTS)

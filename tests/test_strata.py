@@ -314,8 +314,8 @@ def test_kirwan_row_scan_is_the_pairwise_comparison(genus):
 
 @pytest.mark.parametrize("det", [FIXED, NONFIXED])
 def test_run_checks_builds_each_correction_factor_once(det, monkeypatch):
-    # the cached correction list is the only caller: one T(n_d) per stratum
-    # with n_d >= 0, shared by the correction fraction and the stratum table
+    # the stratum table is the only caller: one T(n_d) per stratum with
+    # n_d >= 0, which correction_sum and the stratum spaces read from the table
     spec = spec_of(5, 1, det)
     clear_caches()
     calls = []
@@ -454,8 +454,14 @@ def test_parity_sum_numerator_is_the_per_row_shifted_sum(genus):
         for det in Determinant:
             for order in (3, default_truncation(genus, degree)):
                 spec = spec_of(genus, degree, det, order)
+                per_row = Poly()
+                for d in range(1, max_stratum(spec) + 1):
+                    idx = mu_index(spec, d)
+                    if idx.n >= 0:
+                        num = strata._correction_factor(spec, idx.n)[0]
+                        per_row = per_row + num.shift(2 * idx.mu)
                 summed = Poly(strata._parity_correction_numerator(spec))
-                assert summed == strata._correction_numerator(spec), spec
+                assert summed == per_row, spec
 
 
 @pytest.mark.parametrize("genus", range(2, 17))
@@ -494,14 +500,12 @@ def test_stratum_table_corrections_are_the_shifted_expansions(genus):
             spec = spec_of(genus, degree, det)
             order = spec.truncation
             eta = expand_rational(*strata._critical_factor(spec), order)
-            corrections = strata._corrections(spec)
             top = max_stratum(spec)
             for d in range(1, top + 2):
                 idx = mu_index(spec, d)
                 expected = eta
-                if d <= len(corrections):
-                    corrected, num, den = corrections[d - 1]
-                    assert corrected == idx
+                if idx.n >= 0:
+                    num, den = strata._correction_factor(spec, idx.n)
                     expected = eta - expand_rational(num, den, order)
                 assert stratum_difference(spec, d) == expected.shift(2 * idx.mu), (spec, d)
             assert stratum_difference(spec, top + 1) == TruncSeries.zero(order)
@@ -534,6 +538,23 @@ def test_kirwan_fixed_specs_always_witness():
 def test_invariant_part_anchors():
     assert invariant_part_series(spec_of(2, 1, FIXED))[5] == 4
     assert invariant_part_series(spec_of(2, 0, FIXED))[6] == 8
+
+
+@pytest.mark.parametrize("genus", range(2, 17))
+def test_invariant_part_removes_each_cover_minus_its_symmetric_product(genus):
+    # the anti-invariant classes placed one coefficient per stratum, against
+    # the semistable series minus sum_d t^{2 mu_d} (cover of S^{n_d} M - S^{n_d} M)
+    for degree in (0, 1):
+        for order in (3, default_truncation(genus, degree)):
+            spec = spec_of(genus, degree, FIXED, order)
+            anti_invariant = Poly()
+            for d in range(1, max_stratum(spec) + 1):
+                idx = mu_index(spec, d)
+                if idx.n >= 0:
+                    extra = spaces.sym_cover_poly(spec.surface, idx.n) - sym_poly(spec.surface, idx.n)
+                    anti_invariant = anti_invariant + extra.shift(2 * idx.mu)
+            expected = semistable_series(spec) - anti_invariant.as_series(order)
+            assert invariant_part_series(spec) == expected, spec
 
 
 def test_invariant_part_bounded_by_classifying_space():
